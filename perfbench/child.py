@@ -125,20 +125,22 @@ def _analyse(rec: tracing.Recorder, t_begin: float, t_end: float, label: str) ->
 
 
 def run_batch(spec: dict) -> dict:
-    """One CLI call: wall, CPU and peak memory of it and its children."""
+    """One CLI call: wall, CPU and peak memory of it and its children,
+    and its serial set-up: CLI entry until ``BamSource.prepare`` (the
+    index build the process backend runs before it forks) returns."""
     rec = None
     marks = []
     if spec.get("trace_dir"):
         rec = tracing.Recorder(spec["trace_dir"])
         tracing.install(rec)
     else:
-        pipeline_run = repro.pipeline.Pipeline.run
+        prepare = repro.pipeline.BamSource.prepare
 
-        def first_run(self):
+        def marked_prepare(self):
+            prepare(self)
             marks.append(perf_counter())
-            return pipeline_run(self)
 
-        repro.pipeline.Pipeline.run = first_run
+        repro.pipeline.BamSource.prepare = marked_prepare
     self0, kids0 = _usage()
     t0 = perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -258,8 +260,9 @@ def make_inputs(spec: dict) -> dict:
 
 
 def offline_bodies(spec: dict) -> dict:
-    """Body digest of the offline serial ``Pipeline.run()`` per region:
-    the oracle for served bodies."""
+    """Body digest of the offline serial ``Pipeline.run()`` per region
+    with the streaming engine (the repository's oracle, independent of
+    the batched engine the service runs): the oracle for served bodies."""
     from repro.core import CallerConfig
     from repro.io.bam import BamReader
     from repro.io.fasta import load_reference
@@ -271,7 +274,7 @@ def offline_bodies(spec: dict) -> dict:
     with BamReader(spec["bam"]) as reader:
         lengths = dict(reader.header.references)
     index = build_linear_index(spec["bam"])
-    config = CallerConfig.improved(engine="batched")
+    config = CallerConfig.improved(engine="streaming")
     digests = {}
     for text in spec["regions"]:
         chrom = text.split(":", 1)[0]

@@ -6,20 +6,15 @@ are fixed per workload, so the amount of work does not vary with the
 seed and run-to-run spread measures the program, not the input.
 
 Reads come from the repository's own simulator (:mod:`repro.sim`), the
-same recipe as ``repro-lofreq simulate``.  Only the BAM encoding is done
-here, vectorised: :func:`write_bam` produces exactly the bytes
-``SimulatedSample.write_bam`` would, several times faster, so input
-generation stays a small share of a benchmark run.
+same recipe as ``repro-lofreq simulate``, and are written with its
+``BamWriter``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import struct
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 #: Influenza A segment names with their lengths halved (~6.8 kb in all,
 #: ~66k reads at the depths below), so the serial streaming-engine
@@ -48,80 +43,19 @@ def _derive(seed: int, *salt: object) -> int:
     return int.from_bytes(hashlib.sha256(text).digest()[:4], "little")
 
 
-def _bin_for(pos: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Vectorised UCSC ``reg2bin`` over ``[pos, end)`` spans."""
-    last = end - 1
-    out = np.zeros(pos.shape, dtype=np.int64)
-    done = np.zeros(pos.shape, dtype=bool)
-    for shift, offset in ((14, 4681), (17, 585), (20, 73), (23, 9), (26, 1)):
-        hit = ~done & ((pos >> shift) == (last >> shift))
-        out[hit] = offset + (pos[hit] >> shift)
-        done |= hit
-    return out
-
-
-_NIBBLE = np.array([1, 2, 4, 8, 15], dtype=np.uint8)  # A C G T N
-_CORE = struct.Struct("<iiiBBHHHiiii")
-
-
-def _record_bytes(sample, ref_id: int) -> bytes:
-    """The BAM record stream (block_size prefixes included) of one
-    simulated sample, exactly as ``BamWriter`` encodes its reads."""
-    n, rl = sample.codes.shape
-    nib = _NIBBLE[sample.codes]
-    if rl % 2:
-        nib = np.concatenate([nib, np.zeros((n, 1), np.uint8)], axis=1)
-    packed = ((nib[:, 0::2] << 4) | nib[:, 1::2]).astype(np.uint8).tobytes()
-    quals = sample.quals.astype(np.uint8).tobytes()
-    hs = (rl + 1) // 2
-    starts = sample.starts.astype(np.int64)
-    bins = _bin_for(starts, starts + rl).tolist()
-    flags = np.where(sample.reverse, 16, 0).tolist()
-    if sample.mapqs is not None:
-        mapqs = sample.mapqs.astype(int).tolist()
-    else:
-        mapqs = [sample.mapq] * n
-    cigar = struct.pack("<I", rl << 4)
-    prefix = f"sim.{sample.seed}.".encode()
-    parts: List[bytes] = []
-    pos_list = starts.tolist()
-    for i in range(n):
-        name = prefix + str(i).encode() + b"\x00"
-        body_len = 32 + len(name) + 4 + hs + rl
-        parts.append(
-            _CORE.pack(
-                body_len, ref_id, pos_list[i], len(name), mapqs[i], bins[i],
-                1, flags[i], rl, -1, -1, 0,
-            )
-        )
-        parts.append(name)
-        parts.append(cigar)
-        parts.append(packed[i * hs:(i + 1) * hs])
-        parts.append(quals[i * rl:(i + 1) * rl])
-    return b"".join(parts)
-
-
-def write_bam(path: str, samples: Sequence, threads: int = 2) -> None:
-    """Write coordinate-sorted samples (one per contig, in order) as a
-    BAM byte-identical to the repository's ``BamWriter`` output."""
-    from repro.io.bam import BAM_MAGIC
-    from repro.io.bgzf import BgzfWriter
+def write_bam(path: str, samples: Sequence) -> None:
+    """Write coordinate-sorted samples (one per contig, in order) as one
+    BAM with the repository's ``BamWriter``."""
+    from repro.io.bam import BamWriter
     from repro.io.records import SamHeader
 
     header = SamHeader(sort_order="coordinate")
-    for sample in samples:
-        header.references.append((sample.genome.name, len(sample.genome)))
+    header.references.extend((s.genome.name, len(s.genome)) for s in samples)
     header.programs.append({"ID": "repro-sim", "PN": "repro-sim"})
-    text = header.to_text().encode("ascii")
-    head = [BAM_MAGIC, struct.pack("<i", len(text)) + text]
-    head.append(struct.pack("<i", len(header.references)))
-    for name, length in header.references:
-        nm = name.encode("ascii") + b"\x00"
-        head.append(struct.pack("<i", len(nm)) + nm + struct.pack("<i", length))
-    with BgzfWriter(path, compress_threads=threads) as out:
-        out.write(b"".join(head))
-        for ref_id, sample in enumerate(samples):
-            out.write(_record_bytes(sample, ref_id))
+    with BamWriter(path, header, compress_threads=2) as writer:
+        for sample in samples:
+            for read in sample.reads():
+                writer.write(read)
 
 
 def _simulate(genome, n_variants: int, depth: float, seed: int):

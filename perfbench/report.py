@@ -110,7 +110,8 @@ def steadiness(records: List[dict], workloads=None) -> None:
             f"  {'metric':<16} {'unit':<5} {'median':>11} {'q1':>11} "
             f"{'q3':>11} {'spread':>7} {'bound':>6}"
         )
-        for name, (unit, _better, bound, _b, _s) in END_TO_END.items():
+        for name, entry in END_TO_END.items():
+            unit, bound = entry["unit"], entry["bound"]
             values = [r["metrics"][name] for r in runs if name in r["metrics"]]
             if not values:
                 continue

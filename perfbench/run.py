@@ -19,12 +19,12 @@ measures for at least ``--seconds``:
   process with one set-up of an in-process ``CallService`` followed by
   one closed-loop client (one request outstanding, at least 100
   requests over all four); every served body must equal the offline
-  serial ``Pipeline.run()`` body for its region.
+  serial streaming-engine ``Pipeline.run()`` body for its region.
 
 Oracles are computed outside the timed calls, between the first timed
 sample and the rest (so a run samples the machine's speed at times far
-apart), and cached under ``.perfbench/cache`` by input and program
-digest.
+apart), and cached under ``.perfbench/cache`` by input, program and
+benchmark digest.
 
 ``--trace 0`` prints the end-to-end metrics of :data:`spec.END_TO_END`.
 ``--trace 1`` makes the same untraced measurement, then one traced
@@ -73,10 +73,8 @@ CHILD_TIMEOUT_S = 100.0
 # -- child processes ------------------------------------------------------------
 
 
-def run_child(spec: dict, workdir: str, tag: str) -> dict:
-    """Run :mod:`child` on ``spec`` in a fresh process group and return
-    its result, or ``{"error": ...}``.  The whole group is killed on
-    timeout, process-backend workers included."""
+def start_child(spec: dict, workdir: str, tag: str) -> Tuple[subprocess.Popen, str]:
+    """Start :mod:`child` on ``spec`` in a fresh process group."""
     spec_path = os.path.join(workdir, f"{tag}.spec.json")
     result_path = os.path.join(workdir, f"{tag}.result.json")
     with open(spec_path, "w") as fh:
@@ -87,6 +85,17 @@ def run_child(spec: dict, workdir: str, tag: str) -> dict:
         stderr=subprocess.PIPE,
         start_new_session=True,
     )
+    return proc, result_path
+
+
+def run_child(spec: dict, workdir: str, tag: str) -> dict:
+    """Run :mod:`child` on ``spec`` and return its result."""
+    return wait_child(*start_child(spec, workdir, tag))
+
+
+def wait_child(proc: subprocess.Popen, result_path: str) -> dict:
+    """The started child's result, or ``{"error": ...}``.  The whole
+    group is killed on timeout, process-backend workers included."""
     try:
         _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -136,8 +145,9 @@ def batch_oracle(workload: str, inputs, code: str, workdir: str) -> Optional[byt
 
 
 def service_oracle(inputs: dict, regions: List[str], code: str, workdir: str) -> Dict[str, str]:
-    """Body digest of the offline serial ``Pipeline.run()`` per region,
-    computed in a child process for the regions not cached yet."""
+    """Body digest of the offline serial streaming-engine
+    ``Pipeline.run()`` per region, computed in child processes for the
+    regions not cached yet."""
     key = hashlib.sha256(f"region_service|{inputs['digest']}|{code}".encode()).hexdigest()
     path = os.path.join(OUT, "cache", f"region_service-{key[:20]}.json")
     known: Dict[str, str] = {}
@@ -145,14 +155,21 @@ def service_oracle(inputs: dict, regions: List[str], code: str, workdir: str) ->
         with open(path) as fh:
             known = json.load(fh)
     missing = sorted(set(regions) - set(known))
-    if missing:
-        spec = {"mode": "offline", "bam": inputs["bam"],
-                "fasta": inputs["fasta"], "regions": missing}
-        result = run_child(spec, workdir, "offline")
+    # two processes, one per core: the oracle is outside every metric
+    # and the largest untimed share of a run
+    started = [
+        start_child({"mode": "offline", "bam": inputs["bam"],
+                     "fasta": inputs["fasta"], "regions": missing[i::2]},
+                    workdir, f"offline-{i}")
+        for i in range(2) if missing[i::2]
+    ]
+    for child in started:
+        result = wait_child(*child)
         if "error" in result:
             print(f"oracle failed: {result['error']}", file=sys.stderr)
-            return known
-        known.update(result)
+        else:
+            known.update(result)
+    if started:
         _store(path, json.dumps(known).encode())
     return known
 
@@ -256,15 +273,19 @@ class Batch:
     @staticmethod
     def end_to_end(calls: List[dict]) -> Dict[str, float]:
         walls = [c["wall"] for c in calls]
-        return {
+        out = {
             "wall_s": statistics.median(walls),
             "cpu_s": statistics.median(c["cpu"] for c in calls),
             "peak_rss_mb": statistics.median(c["peak_rss_mb"] for c in calls),
-            "setup_s": statistics.median(c["setup"] for c in calls),
             "latency_p50_ms": 1000.0 * statistics.median(walls),
             "latency_p90_ms": 1000.0 * p90(walls),
             "throughput_rps": len(walls) / sum(walls),
         }
+        # missing (and the run not correct) if the CLI stopped forking
+        setups = [c["setup"] for c in calls if c["setup"] is not None]
+        if setups:
+            out["setup_s"] = statistics.median(setups)
+        return out
 
 
 class Service:
@@ -305,14 +326,14 @@ class Service:
         oracle = service_oracle(
             self.inputs, [region for region, _ in served], self.code, self.workdir
         )
-        print(f"  session {self.n}: oracle (offline serial Pipeline.run) "
+        print(f"  session {self.n}: oracle (offline serial streaming Pipeline.run) "
               f"{time.perf_counter() - t0:.1f}s")
         for region, body in served:
             self.attempted += 1
             if body != oracle.get(region):
                 self.failed += 1
                 if len(self.errors) < 5:
-                    what = body if body.startswith("error") else "body differs from offline Pipeline.run()"
+                    what = body if body.startswith("error") else "body differs from the offline oracle"
                     self.errors.append(f"{region}: {what}")
         return result
 
@@ -343,7 +364,7 @@ class Service:
         phase = sum(s["phase_s"] for s in sessions)
         return {
             "wall_s": phase / len(requests),
-            "cpu_s": sum(s["cpu"] for s in sessions),
+            "cpu_s": sum(s["cpu"] for s in sessions) / len(requests),
             "peak_rss_mb": max(s["peak_rss_mb"] for s in sessions),
             "setup_s": statistics.median(s["setup"] for s in sessions),
             "latency_p50_ms": 1000.0 * statistics.median(ok),
@@ -420,8 +441,8 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     t_run = time.perf_counter()
     calibration_before = report.calibration_s()
     diag = report.diagnostics()
-    code = report.tree_digest(SRC)
-    bench_code = report.tree_digest(SRC, HERE)
+    # oracles are cached per program and benchmark code: both compute them
+    code = report.tree_digest(SRC, HERE)
     for sub in ("cache", "work", "traces"):
         os.makedirs(os.path.join(OUT, sub), exist_ok=True)
     workdir = os.path.join(OUT, "work", f"{workload}-{seed}-{os.getpid()}")
@@ -443,7 +464,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             calls = runner.measure(seconds, t_run)
             for i, c in enumerate(calls):
                 print(f"  call {i + 1}: wall {c['wall']:.3f}s cpu {c['cpu']:.3f}s "
-                      f"rss {c['peak_rss_mb']:.0f}MB setup {c['setup']:.4f}s")
+                      f"rss {c['peak_rss_mb']:.0f}MB setup {c['setup'] or float('nan'):.3f}s")
             if calls:
                 metrics = runner.end_to_end(calls)
             if trace and calls:
@@ -495,14 +516,14 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
           + ("should move" if trace else "definition"))
     for name in wanted:
         if trace:
-            note = table[name][2]
+            note = spec.SHOULD_MOVE[name]
         else:
-            note = table[name][3 if workload in spec.BATCH_WORKLOADS else 4]
-        print(f"  {name:<28} {metrics[name]:14.4f} {table[name][0]:<6} {note}")
+            note = spec.DEFINITIONS[name][0 if workload in spec.BATCH_WORKLOADS else 1]
+        print(f"  {name:<28} {metrics[name]:14.4f} {table[name]['unit']:<6} {note}")
     calibration_after = report.calibration_s()
     record = {
         "workload": workload, "seed": seed, "seconds": seconds,
-        "trace": int(trace), "code": bench_code, "time": time.time(),
+        "trace": int(trace), "code": code, "time": time.time(),
         "inputs": {"digest": inputs["digest"], **inputs["shape"]},
         "metrics": metrics, "attempted": runner.attempted,
         "failed": runner.failed, "correct": correct,
@@ -519,8 +540,8 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         "correct": correct,
         "attempted": runner.attempted,
         "failed": runner.failed,
-        "metrics": {k: {"value": v, "unit": table[k][0]} for k, v in metrics.items()},
-        "code": bench_code,
+        "metrics": {k: {"value": v, "unit": table[k]["unit"]} for k, v in metrics.items()},
+        "code": code,
     }
 
 

@@ -1,186 +1,121 @@
 """What the benchmark measures: workloads, metrics, bounds.
 
-``BENCHMARK.json`` at the repository root lists the same names, units,
-directions and bounds; this module adds what that file has no key for:
-how each end-to-end metric is defined on each workload, and which
-end-to-end metric on which workload each per-layer metric should move.
+Names, units, directions, bounds and each workload's reason are read
+from ``BENCHMARK.json`` at the repository root.  This module adds what
+that file has no key for: how each end-to-end metric is defined on each
+workload, and which end-to-end metric on which workload each per-layer
+metric should move.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Dict, Tuple
 
+with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "BENCHMARK.json")) as _fh:
+    _BENCHMARK = json.load(_fh)
+
 #: workload -> one-line reason it is in the benchmark
-WORKLOADS: Dict[str, str] = {
-    "skewed_process2": (
-        "8 segments at 300-3000x, CLI process backend, 2 workers: decode and "
-        "deposit dominate the workers; the only workload where index build, "
-        "seeks, fork/merge and imbalance carry time"
-    ),
-    "region_service": (
-        "closed-loop 50-100 bp region queries on a warm in-process "
-        "CallService: seeks, block cache, result cache and per-request "
-        "serve overhead carry time"
-    ),
-}
+WORKLOADS: Dict[str, str] = {w["name"]: w["why"] for w in _BENCHMARK["workloads"]}
+#: end-to-end metric -> its BENCHMARK.json entry (unit, better, bound)
+END_TO_END: Dict[str, dict] = {m["name"]: m for m in _BENCHMARK["end_to_end"]}
+#: per-layer metric -> its BENCHMARK.json entry (unit, better)
+PER_LAYER: Dict[str, dict] = {m["name"]: m for m in _BENCHMARK["per_layer"]}
 
 #: the workloads whose operation is one whole-genome CLI call
 BATCH_WORKLOADS = ("skewed_process2",)
 
-#: end-to-end metric -> (unit, better, bound, batch definition,
-#: region_service definition)
-END_TO_END: Dict[str, Tuple[str, str, float, str, str]] = {
+#: end-to-end metric -> (batch definition, region_service definition)
+DEFINITIONS: Dict[str, Tuple[str, str]] = {
     "wall_s": (
-        "s", "lower", 0.25,
         "median call wall, first program call (reference load) to VCF closed",
         "timed-phase seconds per completed request (all sessions)",
     ),
     "cpu_s": (
-        "s", "lower", 0.25,
         "median user+system CPU of the call process and its children",
-        "user+system CPU of the service process over the timed phases",
+        "user+system CPU of the service process per completed request",
     ),
     "peak_rss_mb": (
-        "MB", "lower", 0.05,
         "median over calls of the max resident set of the call process "
         "and its children",
         "max resident set of the service process",
     ),
     "setup_s": (
-        "s", "lower", 0.25,
-        "median CLI set-up per call: entry to the start of Pipeline.run "
-        "(reference load, BAM header, source construction)",
+        "median serial set-up per call: CLI entry to the end of the index "
+        "build, where the process backend forks",
         "median of 4 set-ups (one per session): service start plus a "
         "warm-up request that builds the index",
     ),
     "latency_p50_ms": (
-        "ms", "lower", 0.25,
         "median call wall in ms (one call is one operation)",
         "median request latency, submit to response",
     ),
     "latency_p90_ms": (
-        "ms", "lower", 0.25,
         "p90 of the call walls; fewer than ten calls lie beyond it, so it "
         "reads as the slowest call",
         "p90 request latency, with at least ten samples beyond it",
     ),
     "throughput_rps": (
-        "1/s", "higher", 0.25,
         "calls per second of call wall (one over the mean call wall)",
         "requests completed per timed-phase second",
     ),
 }
 
-#: per-layer metric -> (unit, better, what it should move)
-PER_LAYER: Dict[str, Tuple[str, str, str]] = {
-    "bgzf.blocks_inflated": (
-        "count", "lower",
+#: per-layer metric -> the end-to-end metric and workload it should move
+SHOULD_MOVE: Dict[str, str] = {
+    "bgzf.blocks_inflated":
         "latency_p50_ms on region_service; ~1% of skewed_process2 wall_s",
-    ),
-    "bgzf.inflate_s": (
-        "s", "lower",
+    "bgzf.inflate_s":
         "latency_p50_ms on region_service; ~1% of skewed_process2 wall_s",
-    ),
-    "bgzf.cache_hit_rate": (
-        "ratio", "higher", "latency_p50_ms on region_service",
-    ),
-    "bam.records_decoded": (
-        "count", "lower",
+    "bgzf.cache_hit_rate": "latency_p50_ms on region_service",
+    "bam.records_decoded":
         "wall_s and cpu_s on skewed_process2; latency_p50_ms on region_service",
-    ),
-    "bam.decode_s": (
-        "s", "lower",
+    "bam.decode_s":
         "wall_s and cpu_s on skewed_process2 (~45% of worker time, most of "
         "the index build); latency_p50_ms on region_service",
-    ),
-    "bam.decode_redundancy": (
-        "ratio", "lower",
+    "bam.decode_redundancy":
         "wall_s on skewed_process2; latency_p50_ms on region_service",
-    ),
-    "index.builds": (
-        "count", "lower", "wall_s on skewed_process2; setup_s on region_service",
-    ),
-    "index.build_s": (
-        "s", "lower",
-        "wall_s on skewed_process2 (~2 s of ~5 s, serial before the fork); "
-        "setup_s on region_service",
-    ),
-    "index.plans": (
-        "count", "lower", "latency_p50_ms on region_service",
-    ),
-    "index.plan_s": (
-        "s", "lower",
-        "wall_s on skewed_process2; latency_p50_ms on region_service",
-    ),
-    "pileup.reads_deposited": (
-        "count", "lower", "wall_s and cpu_s on skewed_process2",
-    ),
-    "pileup.deposit_s": (
-        "s", "lower",
+    "index.builds": "wall_s and setup_s on skewed_process2; setup_s on region_service",
+    "index.build_s":
+        "wall_s and setup_s on skewed_process2 (~2 s of ~5 s, serial before "
+        "the fork); setup_s on region_service",
+    "index.plans": "latency_p50_ms on region_service",
+    "index.plan_s": "wall_s on skewed_process2; latency_p50_ms on region_service",
+    "pileup.reads_deposited": "wall_s and cpu_s on skewed_process2",
+    "pileup.deposit_s":
         "wall_s and cpu_s on skewed_process2 (~40% of worker time); "
         "latency_p50_ms on region_service",
-    ),
-    "pileup.columns_built": (
-        "count", "lower", "wall_s on skewed_process2",
-    ),
-    "caller.columns_screened": (
-        "count", "lower", "wall_s on skewed_process2",
-    ),
-    "caller.screen_s": (
-        "s", "lower", "wall_s on skewed_process2",
-    ),
-    "caller.survivors": (
-        "count", "lower", "wall_s on skewed_process2",
-    ),
-    "caller.exact_s": (
-        "s", "lower",
+    "pileup.columns_built": "wall_s on skewed_process2",
+    "caller.columns_screened": "wall_s on skewed_process2",
+    "caller.screen_s": "wall_s on skewed_process2",
+    "caller.survivors": "wall_s on skewed_process2",
+    "caller.exact_s":
         "wall_s on skewed_process2 (screen + exact ~15% of worker time)",
-    ),
-    "caller.dp_steps": (
-        "count", "lower", "wall_s on skewed_process2",
-    ),
-    "caller.skip_fraction": (
-        "ratio", "higher", "wall_s on skewed_process2",
-    ),
-    "caller.filter_s": (
-        "s", "lower", "wall_s on skewed_process2",
-    ),
-    "pipeline.chunks": (
-        "count", "lower", "wall_s on skewed_process2 only",
-    ),
-    "pipeline.busy_max_s": (
-        "s", "lower", "wall_s on skewed_process2 only",
-    ),
-    "pipeline.imbalance": (
-        "ratio", "lower", "wall_s on skewed_process2 only",
-    ),
-    "pipeline.barrier_s": (
-        "s", "lower", "wall_s on skewed_process2 only",
-    ),
-    "sinks.write_s": (
-        "s", "lower", "wall_s on skewed_process2",
-    ),
-    "serve.compute_ms": (
-        "ms", "lower",
+    "caller.dp_steps": "wall_s on skewed_process2",
+    "caller.skip_fraction": "wall_s on skewed_process2",
+    "caller.filter_s": "wall_s on skewed_process2",
+    "pipeline.chunks": "wall_s on skewed_process2 only",
+    "pipeline.busy_max_s": "wall_s on skewed_process2 only",
+    "pipeline.imbalance": "wall_s on skewed_process2 only",
+    "pipeline.barrier_s": "wall_s on skewed_process2 only",
+    "sinks.write_s": "wall_s on skewed_process2",
+    "serve.compute_ms": "latency_p50_ms and throughput_rps on region_service only",
+    "serve.overhead_ms": "latency_p50_ms and throughput_rps on region_service only",
+    "serve.result_cache_hit_rate":
         "latency_p50_ms and throughput_rps on region_service only",
-    ),
-    "serve.overhead_ms": (
-        "ms", "lower",
+    "serve.warm_source_hit_rate":
         "latency_p50_ms and throughput_rps on region_service only",
-    ),
-    "serve.result_cache_hit_rate": (
-        "ratio", "higher",
-        "latency_p50_ms and throughput_rps on region_service only",
-    ),
-    "serve.warm_source_hit_rate": (
-        "ratio", "higher",
-        "latency_p50_ms and throughput_rps on region_service only",
-    ),
-    "trace.overhead_s": (
-        "s", "lower", "n/a: traced run minus the median untraced run",
-    ),
-    "trace.coverage": (
-        "ratio", "higher",
+    "trace.overhead_s": "n/a: traced run minus the median untraced run",
+    "trace.coverage":
         "n/a: share of wall inside some layer's span (gaps are unattributed)",
-    ),
 }
+
+for _name, _table, _listed in (("end_to_end", DEFINITIONS, END_TO_END),
+                               ("per_layer", SHOULD_MOVE, PER_LAYER)):
+    if set(_table) != set(_listed):
+        raise RuntimeError(
+            f"BENCHMARK.json {_name} metrics {sorted(_listed)} do not match "
+            f"perfbench/spec.py {sorted(_table)}"
+        )
