@@ -92,56 +92,3 @@ def test_scaling_report(benchmark, hotspot_sample):
         "scaling is bounded by fork/merge overhead at this toy size."
     )
     write_report("scaling.txt", "\n".join(lines))
-
-
-def test_e2e_decompress_threads_curve(tmp_path_factory, hotspot_sample):
-    """End-to-end ``Pipeline.run()`` wall clock over a BAM as the BGZF
-    readahead pool grows; calls must be identical at every pool size.
-    The curve is merged into ``io_stats.json`` next to bench_io's
-    block-level numbers (one report, two granularities)."""
-    from conftest import merge_stats_report
-
-    from repro.pipeline import BamSource, Pipeline
-
-    sample = hotspot_sample
-    root = tmp_path_factory.mktemp("e2e_pool")
-    bam = root / "hotspot.bam"
-    sample.write_bam(bam)
-
-    curve = {}
-    reference = None
-    for threads in (0, 1, 2, 4):
-        best = None
-        stats = None
-        for _ in range(1 if FAST else 2):
-            source = BamSource(
-                bam,
-                sample.genome.sequence,
-                decompress_threads=threads,
-                cache_blocks=4,
-            )
-            t0 = time.perf_counter()
-            result = Pipeline(source).run()
-            wall = time.perf_counter() - t0
-            if reference is None:
-                reference = result.keys()
-            assert result.keys() == reference
-            if best is None or wall < best:
-                best = wall
-                stats = result.stats
-        curve[str(threads)] = {
-            "wall_s": round(best, 6),
-            "prefetch_hits": int(stats.prefetch_hits),
-            "prefetch_wasted": int(stats.prefetch_wasted),
-        }
-    serial = curve["0"]["wall_s"]
-    for row in curve.values():
-        row["speedup"] = round(serial / row["wall_s"], 3)
-    merge_stats_report(
-        "io_stats.json",
-        "e2e_decompress_threads",
-        curve,
-        extra={"e2e_workload_columns": len(sample.genome)},
-    )
-    # The pooled runs actually used the pool.
-    assert curve["4"]["prefetch_hits"] > 0

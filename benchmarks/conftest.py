@@ -52,31 +52,6 @@ def write_stats_report(name: str, stats_by_key, extra: dict | None = None) -> No
     print(f"\n[stats written to {path}]")
 
 
-def merge_stats_report(name: str, key: str, stats, extra: dict | None = None) -> None:
-    """Merge one section into an existing stats report.
-
-    Unlike :func:`write_stats_report` this does not clobber entries
-    other benchmark files already wrote to the same report -- e.g.
-    ``bench_scaling`` folds its end-to-end decompress-pool curve into
-    ``io_stats.json`` after ``bench_io`` has written it.
-    """
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / name
-    payload: dict = {"stats": {}}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {"stats": {}}
-    payload.setdefault("stats", {})[str(key)] = (
-        stats.to_dict() if hasattr(stats, "to_dict") else stats
-    )
-    if extra:
-        payload.update(extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n[stats merged into {path}]")
-
-
 @pytest.fixture(scope="session")
 def table1_workload():
     """The Table I workload: one genome, five depths, one panel.

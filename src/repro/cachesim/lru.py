@@ -93,17 +93,6 @@ class LruCache(Generic[K, V]):
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def peek(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        """Look up ``key`` with no side effects on LRU order or stats.
-
-        Used by concurrent probers (e.g. the BGZF readahead pool) that
-        must not skew the hit/miss accounting of real lookups.
-        """
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        return value  # type: ignore[return-value]
-
     def __contains__(self, key: K) -> bool:
         """Residency probe with no side effects on LRU order or stats."""
         return key in self._entries

@@ -98,14 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="records between checkpoints (--format linear only)",
     )
-    p_index.add_argument(
-        "--decompress-threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="BGZF readahead inflation threads for the index scan "
-        "(0 = serial; the index is identical either way)",
-    )
 
     p_call = sub.add_parser("call", help="call variants on a BAM")
     p_call.add_argument("bam")
@@ -192,20 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decompressed BGZF blocks cached per worker reader "
         "(~64 KiB each; default 32)",
     )
-    p_call.add_argument(
-        "--decompress-threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="BGZF readahead inflation threads per worker reader "
-        "(0 = serial; calls are byte-identical either way)",
-    )
-    p_call.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="share one decompressed-block cache (--cache-blocks "
-        "total) across all worker readers instead of one per reader",
-    )
     p_call.add_argument("--workers", type=int, default=1)
     p_call.add_argument(
         "--schedule", choices=["static", "dynamic", "guided"], default="dynamic"
@@ -281,14 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decompressed BGZF blocks cached per warm reader "
         "(~64 KiB each; default 32)",
     )
-    p_serve.add_argument(
-        "--decompress-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="BGZF readahead inflation threads per warm reader "
-        "(default serial; response bodies are identical either way)",
-    )
 
     p_cmp = sub.add_parser("compare", help="concordance between two VCFs")
     p_cmp.add_argument("vcf_a")
@@ -361,9 +331,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     try:
         if args.format == "bai":
             out = args.out or f"{args.bam}.bai"
-            index = build_bai_index(
-                args.bam, decompress_threads=args.decompress_threads
-            )
+            index = build_bai_index(args.bam)
             index.save(out)
             n_bins = sum(len(ref.bins) for ref in index.references)
             print(
@@ -372,11 +340,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             )
         else:
             out = args.out or f"{args.bam}.rmi"
-            index = build_linear_index(
-                args.bam,
-                granularity=args.granularity,
-                decompress_threads=args.decompress_threads,
-            )
+            index = build_linear_index(args.bam, granularity=args.granularity)
             index.save(out)
             n_cp = sum(len(ix.checkpoints) for ix in index.values())
             print(
@@ -503,8 +467,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
             pileup_config=pileup_config,
             index=args.index,
             cache_blocks=args.cache_blocks,
-            decompress_threads=args.decompress_threads,
-            shared_cache=args.shared_cache,
         )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -528,11 +490,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
             f"{s.cache_misses} misses ({s.cache_hit_rate():.1%}), "
             f"{s.cache_evictions} evictions"
         )
-        if s.prefetch_hits or s.prefetch_wasted:
-            print(
-                f"readahead pool    : {s.prefetch_hits} prefetch hits, "
-                f"{s.prefetch_wasted} wasted"
-            )
         for k, v in sorted(s.decisions.items()):
             print(f"  decision {k:<22}: {v}")
     return 0
@@ -558,7 +515,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             result_cache_entries=args.result_cache,
             warm_sources=args.warm_sources,
             cache_blocks=args.cache_blocks,
-            decompress_threads=args.decompress_threads,
             on_full=args.on_full,
         )
     except ValueError as exc:

@@ -17,7 +17,18 @@ from typing import Dict, List, Tuple
 
 from repro.io.vcf import VcfRecord
 
-__all__ = ["VariantCall", "RunStats", "ColumnDecision", "CallResult"]
+__all__ = [
+    "VariantCall",
+    "RunStats",
+    "ColumnDecision",
+    "CallResult",
+    "IO_COUNTERS",
+]
+
+#: The BGZF block-cache counters a BAM-backed run folds into
+#: :class:`RunStats`: the names of both the reader attributes and the
+#: stats fields, summed over readers by ``BamSource.io_stats()``.
+IO_COUNTERS = ("cache_hits", "cache_misses", "cache_evictions")
 
 
 class ColumnDecision(enum.Enum):
@@ -109,14 +120,11 @@ class RunStats:
     dp_invocations: int = 0
     approx_invocations: int = 0
     exact_skipped: int = 0
-    time_pileup: float = 0.0
     time_stats: float = 0.0
     time_total: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    prefetch_hits: int = 0
-    prefetch_wasted: int = 0
 
     def record_decision(self, decision: ColumnDecision) -> None:
         """Count one per-column decision in the census."""
@@ -132,23 +140,18 @@ class RunStats:
             )
 
     def merge(self, other: "RunStats") -> "RunStats":
-        """Accumulate another worker's counters into this one."""
-        self.columns_seen += other.columns_seen
-        self.tests_run += other.tests_run
-        self.dp_steps += other.dp_steps
-        self.dp_invocations += other.dp_invocations
-        self.approx_invocations += other.approx_invocations
-        self.exact_skipped += other.exact_skipped
-        self.time_pileup += other.time_pileup
-        self.time_stats += other.time_stats
-        self.time_total += other.time_total
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_evictions += other.cache_evictions
-        self.prefetch_hits += other.prefetch_hits
-        self.prefetch_wasted += other.prefetch_wasted
-        for k, v in other.decisions.items():
-            self.decisions[k] = self.decisions.get(k, 0) + v
+        """Accumulate another worker's counters into this one: every
+        numeric field adds, and the decision census adds per key."""
+        for field in dataclasses.fields(self):
+            if field.name == "decisions":
+                for k, v in other.decisions.items():
+                    self.decisions[k] = self.decisions.get(k, 0) + v
+            else:
+                setattr(
+                    self,
+                    field.name,
+                    getattr(self, field.name) + getattr(other, field.name),
+                )
         return self
 
     def skip_fraction(self) -> float:
@@ -172,27 +175,20 @@ class RunStats:
         directly ``json.dump``-able (counters may arrive as numpy
         scalars from the batched engine).  Consumed by the pipeline's
         ``StatsSink``, the CLI's ``--stats-json`` and the benchmark
-        report files.
+        report files.  Every field appears under its own name, plus the
+        derived ``skip_fraction`` and ``cache_hit_rate``.
         """
-        return {
-            "columns_seen": int(self.columns_seen),
-            "tests_run": int(self.tests_run),
-            "decisions": {k: int(v) for k, v in sorted(self.decisions.items())},
-            "dp_steps": int(self.dp_steps),
-            "dp_invocations": int(self.dp_invocations),
-            "approx_invocations": int(self.approx_invocations),
-            "exact_skipped": int(self.exact_skipped),
-            "skip_fraction": float(self.skip_fraction()),
-            "time_pileup": float(self.time_pileup),
-            "time_stats": float(self.time_stats),
-            "time_total": float(self.time_total),
-            "cache_hits": int(self.cache_hits),
-            "cache_misses": int(self.cache_misses),
-            "cache_evictions": int(self.cache_evictions),
-            "cache_hit_rate": float(self.cache_hit_rate()),
-            "prefetch_hits": int(self.prefetch_hits),
-            "prefetch_wasted": int(self.prefetch_wasted),
-        }
+        out: Dict[str, object] = {}
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.name == "decisions":
+                out["decisions"] = {k: int(v) for k, v in sorted(value.items())}
+            else:
+                # the default's type: int for counters, float for seconds
+                out[field.name] = type(field.default)(value)
+        out["skip_fraction"] = float(self.skip_fraction())
+        out["cache_hit_rate"] = float(self.cache_hit_rate())
+        return out
 
 
 @dataclasses.dataclass

@@ -453,7 +453,7 @@ class _RefAccumulator:
         )
 
 
-def build_bai(bam_path, *, decompress_threads: int = 0) -> BaiIndex:
+def build_bai(bam_path) -> BaiIndex:
     """Scan a coordinate-sorted BAM once and build its BAI index.
 
     One pass over the BGZF stream: each record contributes a chunk
@@ -466,15 +466,12 @@ def build_bai(bam_path, *, decompress_threads: int = 0) -> BaiIndex:
 
     Args:
         bam_path: coordinate-sorted BAM to scan.
-        decompress_threads: BGZF readahead pool size for the
-            sequential scan (``0`` = serial; the index bytes are
-            identical either way).
 
     Raises:
         ValueError: if the BAM is not coordinate-sorted or a record
             references a contig missing from the header.
     """
-    with BamReader(bam_path, decompress_threads=decompress_threads) as reader:
+    with BamReader(bam_path) as reader:
         names = [name for name, _ in reader.header.references]
         rank = {name: i for i, name in enumerate(names)}
         accumulators = [_RefAccumulator() for _ in names]

@@ -24,14 +24,13 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Tuple,
     Union,
 )
 
 import numpy as np
 
-from repro.io.bgzf import BgzfReader, BgzfWriter, SharedBlockCache
+from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.cigar import CONSUMES_QUERY, CONSUMES_REFERENCE, CigarOp
 from repro.io.records import AlignedRead, SamHeader
 
@@ -421,32 +420,10 @@ class BamReader:
             reader's LRU buffer (see :class:`repro.io.bgzf.BgzfReader`);
             more blocks make repeated/overlapping region seeks skip
             re-inflation at ~64 KiB of memory per block.
-        decompress_threads: BGZF readahead inflation pool size
-            (``0`` = serial; bytes and errors are identical either
-            way).
-        cache: a :class:`repro.io.bgzf.SharedBlockCache` to share the
-            decompressed-block buffer with other readers of the same
-            file (overrides ``cache_blocks``).
-        cache_key: per-file key for shared-cache entries (defaults to
-            the source path).
     """
 
-    def __init__(
-        self,
-        source: PathOrFile,
-        cache_blocks: int = 1,
-        *,
-        decompress_threads: int = 0,
-        cache: Optional["SharedBlockCache"] = None,
-        cache_key: Optional[object] = None,
-    ) -> None:
-        self._bgzf = BgzfReader(
-            source,
-            cache_blocks=cache_blocks,
-            decompress_threads=decompress_threads,
-            cache=cache,
-            cache_key=cache_key,
-        )
+    def __init__(self, source: PathOrFile, cache_blocks: int = 1) -> None:
+        self._bgzf = BgzfReader(source, cache_blocks=cache_blocks)
         magic = self._bgzf.readexact(4)
         if magic != BAM_MAGIC:
             raise ValueError(f"not a BAM file (magic {magic!r})")

@@ -11,46 +11,30 @@ Virtual offsets follow the htslib convention::
 
     voffset = compressed_block_start << 16 | offset_within_block
 
-The module implements a reader with ``seek``/``tell`` on virtual
-offsets and a writer that emits spec-compliant blocks plus the 28-byte
-EOF sentinel block.
-
-Because every block is an independent deflate stream, both directions
-parallelise at the block level (the htslib/bgzip design):
-
-* :class:`BgzfReader` accepts ``decompress_threads=N``: a readahead
-  pool inflates the next blocks concurrently while the consumer
-  drains the current one.  Read/seek/tell semantics, returned bytes
-  and raised errors are exactly the serial reader's -- prefetched
-  blocks are only ever *consumed* at the position the serial reader
-  would have inflated them, and a prefetched error is deferred until
-  the consumer actually reaches its block.
-* :class:`BgzfWriter` accepts ``compress_threads=N``: blocks deflate
-  in a pool but commit strictly in submission order, so the output
-  bytes are bit-identical to the serial writer's.
-* :class:`SharedBlockCache` is a lock-guarded decompressed-block LRU
-  that multiple readers (e.g. one per worker thread scanning adjacent
-  chunks of the same BAM) can share, keyed per file, so the same
-  block is never inflated twice across the pool.
+The module implements a serial reader with ``seek``/``tell`` on
+virtual offsets and a private LRU of decompressed blocks, and a
+writer that emits spec-compliant blocks plus the 28-byte EOF sentinel
+block.  Because every block is an independent deflate stream, the
+writer can deflate in a pool (``compress_threads=N``) while committing
+blocks strictly in submission order, so its output is bit-identical
+to the serial writer's.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import threading
 import time
 import zlib
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import BinaryIO, Deque, Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Deque, List, Optional, Tuple, Union
 
 from repro.cachesim.lru import LruCache
 
 __all__ = [
     "BgzfReader",
     "BgzfWriter",
-    "SharedBlockCache",
     "BGZF_EOF",
     "make_virtual_offset",
     "split_virtual_offset",
@@ -91,122 +75,6 @@ def make_virtual_offset(block_start: int, within: int) -> int:
 def split_virtual_offset(voffset: int) -> Tuple[int, int]:
     """Unpack a virtual offset into ``(block_start, within)``."""
     return voffset >> 16, voffset & 0xFFFF
-
-
-class SharedBlockCache:
-    """A lock-guarded decompressed-block LRU shareable across readers.
-
-    Entries are keyed ``(file_key, compressed_offset)``, so readers of
-    *different* files can share one memory budget without colliding,
-    and thread workers scanning adjacent chunks of the *same* BAM stop
-    inflating the same blocks twice: whichever reader inflates a block
-    first publishes it for every other reader (and for every reader's
-    readahead pool, which skips offsets already resident).
-
-    Memory is bounded by ``capacity`` blocks of at most 64 KiB each,
-    *total* across all sharing readers -- unlike per-reader private
-    buffers, the budget does not multiply with the worker count.
-
-    All operations take one short internal lock; no I/O or inflation
-    ever happens under it, so contention stays negligible next to
-    zlib.
-
-    Counter note: global hits/misses count every :meth:`get`,
-    including the single lookup each reader issues while *discovering*
-    physical EOF -- readers exclude that probe from their own
-    ``cache_hits``/``cache_misses`` (and never repeat it), so global
-    lookups exceed the sum of per-reader ones by at most one per
-    reader.
-
-    Args:
-        capacity: maximum resident blocks (positive).
-
-    Raises:
-        ValueError: if ``capacity`` is not positive.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self._lock = threading.Lock()
-        self._lru: LruCache[Tuple[object, int], Tuple[bytes, int]] = LruCache(
-            capacity
-        )
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of resident blocks."""
-        return self._lru.capacity
-
-    def get(
-        self, file_key: object, offset: int
-    ) -> Optional[Tuple[bytes, int]]:
-        """Look up a block, counting one global hit or miss."""
-        with self._lock:
-            return self._lru.get((file_key, offset))
-
-    def peek(
-        self, file_key: object, offset: int
-    ) -> Optional[Tuple[bytes, int]]:
-        """Residency probe with no effect on counters or LRU order.
-
-        Used by the readahead pool to skip inflating blocks some
-        reader already published.
-        """
-        with self._lock:
-            return self._lru.peek((file_key, offset))
-
-    def put(
-        self, file_key: object, offset: int, block: Tuple[bytes, int]
-    ) -> int:
-        """Insert a block; returns how many evictions it caused."""
-        with self._lock:
-            before = self._lru.evictions
-            self._lru.put((file_key, offset), block)
-            return self._lru.evictions - before
-
-    @property
-    def hits(self) -> int:
-        """Lookups served from the shared store (all readers)."""
-        with self._lock:
-            return self._lru.hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups that found nothing resident (all readers)."""
-        with self._lock:
-            return self._lru.misses
-
-    @property
-    def evictions(self) -> int:
-        """Blocks dropped to make room (all readers)."""
-        with self._lock:
-            return self._lru.evictions
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups: always ``hits + misses``."""
-        with self._lock:
-            return self._lru.hits + self._lru.misses
-
-    def __len__(self) -> int:
-        """Number of resident blocks."""
-        with self._lock:
-            return len(self._lru)
-
-    def clear(self) -> None:
-        """Drop every resident block (counters preserved)."""
-        with self._lock:
-            self._lru.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """JSON-safe counter snapshot (consistent under the lock)."""
-        with self._lock:
-            return {
-                "capacity": int(self._lru.capacity),
-                "entries": len(self._lru),
-                "hits": int(self._lru.hits),
-                "misses": int(self._lru.misses),
-                "evictions": int(self._lru.evictions),
-            }
 
 
 class BgzfWriter:
@@ -389,89 +257,39 @@ class BgzfWriter:
 
 
 class BgzfReader:
-    """Random-access BGZF decompressor with an LRU block buffer and an
-    optional readahead inflation pool.
+    """Random-access BGZF decompressor with an LRU block buffer.
 
     Supports sequential :meth:`read` and virtual-offset
     :meth:`seek`/:meth:`tell`.  Up to ``cache_blocks`` decompressed
-    blocks stay resident in a least-recently-used buffer, so a seek
-    back into a recently read block skips zlib entirely -- the
+    blocks stay resident in a private least-recently-used buffer, so a
+    seek back into a recently read block skips zlib entirely -- the
     behaviour bamnostic's ``_buffers`` LruDict gives htslib-style
     readers, and what makes repeated or overlapping region queries
     cache-friendly.  The default of one block reproduces the classic
-    single-block-cache reader exactly.  Pass a
-    :class:`SharedBlockCache` as ``cache`` to share the buffer (and
-    its memory budget) with other readers of the same file.
-
-    With ``decompress_threads=N`` a pool of N threads inflates the
-    next ``readahead`` blocks while the consumer drains the current
-    one (zlib releases the GIL, so this is real parallelism).  All
-    file reads stay on the consumer thread -- workers only ever
-    inflate bytes already fetched -- and semantics are exactly
-    serial:
-
-    * bytes, ``tell`` values and seek targets are identical;
-    * a malformed or corrupt block discovered during readahead raises
-      only when (and if) the consumer actually reaches it;
-    * blocks prefetched but never consumed (abandoned by a seek or
-      ``close``) count as ``prefetch_wasted`` and nothing else -- the
-      ``blocks_read`` / cache counters tick exactly as the serial
-      reader's would.
+    single-block-cache reader exactly.
 
     Args:
         source: path or binary file object positioned at a BGZF stream.
         cache_blocks: decompressed blocks kept resident (positive; each
             holds at most 64 KiB, so memory is bounded by
-            ``64 KiB * cache_blocks``).  Ignored when ``cache`` is
-            given.
-        decompress_threads: inflation pool size; ``0`` (default)
-            decompresses inline on the consumer thread, exactly the
-            historical serial reader.
-        readahead: blocks prefetched ahead of the consumer (default
-            ``2 * decompress_threads``; only meaningful with a pool).
-        cache: a :class:`SharedBlockCache` to use instead of a private
-            buffer; the reader contributes to and benefits from every
-            sharing reader's blocks.
-        cache_key: per-file key for shared-cache entries.  Defaults to
-            the source path (so readers of the same path share) or
-            ``id(handle)`` for file objects.
+            ``64 KiB * cache_blocks``).
 
     Raises:
-        ValueError: if ``cache_blocks``/``readahead`` is not positive,
-            ``decompress_threads`` is negative, or the stream does not
-            start with a BGZF block.
+        ValueError: if ``cache_blocks`` is not positive or the stream
+            does not start with a BGZF block.
     """
 
-    def __init__(
-        self,
-        source: PathOrFile,
-        cache_blocks: int = 1,
-        *,
-        decompress_threads: int = 0,
-        readahead: Optional[int] = None,
-        cache: Optional[SharedBlockCache] = None,
-        cache_key: Optional[object] = None,
-    ) -> None:
-        if decompress_threads < 0:
-            raise ValueError(
-                f"decompress_threads must be >= 0, got {decompress_threads}"
-            )
+    def __init__(self, source: PathOrFile, cache_blocks: int = 1) -> None:
+        #: decompressed-block store: compressed offset -> (data, size)
+        self._buffers: LruCache[int, Tuple[bytes, int]] = LruCache(
+            cache_blocks
+        )
         if hasattr(source, "read"):
             self._handle: BinaryIO = source  # type: ignore[assignment]
             self._owned = False
-            default_key: object = id(self._handle)
         else:
             self._handle = open(source, "rb")
             self._owned = True
-            default_key = os.fspath(source)
-        if cache is not None:
-            self._buffers = cache
-            self._cache_owned = False
-        else:
-            #: decompressed-block store: (file key, offset) -> (data, size)
-            self._buffers = SharedBlockCache(cache_blocks)
-            self._cache_owned = True
-        self._cache_key = cache_key if cache_key is not None else default_key
         self._block_start = 0  # compressed offset of current block
         self._block_data = b""
         self._within = 0
@@ -484,42 +302,12 @@ class BgzfReader:
         #: cache hits do not re-count)
         self.blocks_read = 0
         #: cumulative seconds spent in zlib inflation (tracer: the
-        #: "decompress" category of the Figure 2 reproduction); with a
-        #: pool, only *consumed* blocks' inflation time accumulates, on
-        #: consumption, so per-pull deltas stay meaningful
+        #: "decompress" category of the Figure 2 reproduction)
         self.time_decompress = 0.0
-        #: this reader's block loads served from its buffer
+        #: block loads served from the LRU buffer
         self.cache_hits = 0
-        #: this reader's block loads that inflated (or consumed a
-        #: prefetched inflation)
+        #: block loads that inflated
         self.cache_misses = 0
-        #: evictions this reader's inserts caused
-        self.cache_evictions = 0
-        #: block loads served from the readahead pool
-        self.prefetch_hits = 0
-        #: prefetched blocks never consumed (seek-away, close, or the
-        #: block cache beat the pool to it)
-        self.prefetch_wasted = 0
-        #: deepest in-flight prefetch queue observed (pool telemetry)
-        self.pool_depth_peak = 0
-        #: inflation pool size (0 = serial)
-        self.decompress_threads = decompress_threads
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pending: "OrderedDict[int, Future]" = OrderedDict()
-        self._prefetch_next: Optional[int] = None
-        self._prefetch_blocked = False
-        if decompress_threads:
-            if readahead is None:
-                readahead = 2 * decompress_threads
-            if readahead <= 0:
-                raise ValueError(
-                    f"readahead must be positive, got {readahead}"
-                )
-            self._readahead = readahead
-            self._pool = ThreadPoolExecutor(
-                max_workers=decompress_threads,
-                thread_name_prefix="bgzf-inflate",
-            )
         self._load_block(0)
 
     # -- cache instrumentation ---------------------------------------------
@@ -529,25 +317,29 @@ class BgzfReader:
         """Capacity of the decompressed-block LRU buffer."""
         return self._buffers.capacity
 
+    @property
+    def cache_evictions(self) -> int:
+        """Blocks dropped from the LRU buffer to make room."""
+        return self._buffers.evictions
+
     # -- block machinery ---------------------------------------------------
 
-    def _fetch_raw(
-        self, offset: int
-    ) -> Optional[Tuple[bytes, bytes, int]]:
-        """Read (without inflating) the compressed block at ``offset``.
+    def _read_block_at(self, offset: int) -> Tuple[bytes, int]:
+        """Read and inflate the block at compressed ``offset``.
 
-        Returns ``(deflate payload, crc+isize trailer, total size)``,
-        or ``None`` at physical EOF.  Always runs on the consumer
-        thread -- pool workers never touch the file handle.
+        Returns ``(data, total_compressed_size)``; ``(b"", 0)`` at
+        physical EOF.
 
         Raises:
             ValueError: if the bytes at ``offset`` are not a valid BGZF
-                block (bad magic, missing BC subfield, truncation).
+                block (bad magic, missing BC subfield, truncation) or
+                fail the ISIZE/CRC check.
+            zlib.error: on corrupt deflate data.
         """
         self._handle.seek(offset)
         header = self._handle.read(_HEADER_SIZE)
         if len(header) == 0:
-            return None
+            return b"", 0
         if len(header) < _HEADER_SIZE:
             raise ValueError("truncated BGZF block header")
         magic = header[:4]
@@ -575,23 +367,9 @@ class BgzfReader:
         crc_isize = self._handle.read(8)
         if len(payload) < payload_len or len(crc_isize) < 8:
             raise ValueError("truncated BGZF block payload")
-        return payload, crc_isize, bsize
-
-    @staticmethod
-    def _inflate(
-        payload: bytes, crc_isize: bytes, bsize: int
-    ) -> Tuple[bytes, int, float]:
-        """Inflate and verify one block; safe on any pool thread.
-
-        Returns ``(data, total compressed size, seconds in zlib)``.
-
-        Raises:
-            ValueError: on an ISIZE or CRC mismatch.
-            zlib.error: on corrupt deflate data.
-        """
         t0 = time.perf_counter()
         data = zlib.decompress(payload, -15)
-        elapsed = time.perf_counter() - t0
+        self.time_decompress += time.perf_counter() - t0
         crc, isize = struct.unpack("<II", crc_isize)
         if len(data) != isize:
             raise ValueError(
@@ -599,137 +377,30 @@ class BgzfReader:
             )
         if (zlib.crc32(data) & 0xFFFFFFFF) != crc:
             raise ValueError("BGZF CRC mismatch")
-        return data, bsize, elapsed
-
-    def _read_block_at(self, offset: int) -> Tuple[bytes, int]:
-        """Decompress the block at compressed ``offset``, inline.
-
-        Returns ``(data, total_compressed_size)``; ``(b"", 0)`` at
-        physical EOF -- an EOF probe touches neither the block cache
-        nor its hit/miss counters (it is not a block).
-
-        Raises:
-            ValueError: if the bytes at ``offset`` are not a valid BGZF
-                block (bad magic or missing BC subfield).
-        """
-        raw = self._fetch_raw(offset)
-        if raw is None:
-            return b"", 0
-        data, size, elapsed = self._inflate(*raw)
-        self.time_decompress += elapsed
         self.blocks_read += 1
-        return data, size
-
-    # -- readahead pool ----------------------------------------------------
-
-    def _discard_prefetch(self) -> None:
-        """Abandon every pending prefetch (each counts as wasted)."""
-        for fut in self._pending.values():
-            fut.cancel()
-            self.prefetch_wasted += 1
-        self._pending.clear()
-        self._prefetch_blocked = False
-        self._prefetch_next = None
-
-    def _top_up_prefetch(self) -> None:
-        """Walk the block chain from ``_prefetch_next``, submitting
-        inflation jobs until the readahead budget is full, physical
-        EOF, or a malformed block (whose error is parked as a pending
-        future and raised only if the consumer reaches it)."""
-        while (
-            len(self._pending) < self._readahead
-            and not self._prefetch_blocked
-            and self._prefetch_next is not None
-            and (self._known_eof is None or self._prefetch_next < self._known_eof)
-        ):
-            offset = self._prefetch_next
-            resident = self._buffers.peek(self._cache_key, offset)
-            if resident is not None:
-                # Some reader already published this block; skip ahead.
-                self._prefetch_next = offset + resident[1]
-                continue
-            try:
-                raw = self._fetch_raw(offset)
-            except Exception as exc:  # noqa: BLE001 - deferred to consumption
-                failed: Future = Future()
-                failed.set_exception(exc)
-                self._pending[offset] = failed
-                self._prefetch_blocked = True
-                break
-            if raw is None:
-                self._known_eof = offset
-                break
-            payload, crc_isize, bsize = raw
-            self._pending[offset] = self._pool.submit(
-                self._inflate, payload, crc_isize, bsize
-            )
-            self._prefetch_next = offset + bsize
-            if len(self._pending) > self.pool_depth_peak:
-                self.pool_depth_peak = len(self._pending)
-
-    def _schedule_prefetch(self, next_offset: int) -> None:
-        """Keep the readahead pipeline pointed at ``next_offset`` (the
-        block following the one just consumed).  A seek that breaks the
-        chain discards the now-useless pending blocks and restarts the
-        walk from the new position."""
-        if self._pool is None:
-            return
-        if (
-            next_offset not in self._pending
-            and next_offset != self._prefetch_next
-        ):
-            self._discard_prefetch()
-            self._prefetch_next = next_offset
-        self._top_up_prefetch()
-
-    def _fetch_block(self, offset: int) -> Tuple[bytes, int]:
-        """Produce the block at ``offset``: from the readahead pool
-        when prefetched, inline otherwise.  Either way the counters
-        tick exactly as a serial inline read would (plus
-        ``prefetch_hits``)."""
-        if self._pool is not None:
-            fut = self._pending.pop(offset, None)
-            if fut is not None:
-                data, size, elapsed = fut.result()
-                self.prefetch_hits += 1
-                self.time_decompress += elapsed
-                self.blocks_read += 1
-                return data, size
-        return self._read_block_at(offset)
-
-    # -- block loading ------------------------------------------------------
+        return data, bsize
 
     def _cached_block_at(self, offset: int) -> Tuple[bytes, int]:
         """The block at ``offset`` through the LRU buffer.
 
         A resident block is returned without touching the file or
-        zlib; a miss inflates (or consumes a prefetched inflation) and
-        inserts.  EOF probes (size 0) are never cached and never count
-        as hits or misses -- once physical EOF is discovered, repeat
-        probes short-circuit entirely.
+        zlib; a miss inflates and inserts.  EOF probes (size 0) are
+        never cached and never count as hits or misses -- once
+        physical EOF is discovered, repeat probes short-circuit
+        entirely.
         """
         if self._known_eof is not None and offset >= self._known_eof:
             return b"", 0
-        cached = self._buffers.get(self._cache_key, offset)
+        cached = self._buffers.get(offset)
         if cached is not None:
             self.cache_hits += 1
-            stale = self._pending.pop(offset, None)
-            if stale is not None:
-                # The cache beat the pool to this block (e.g. another
-                # reader published it): that prefetch was wasted.
-                stale.cancel()
-                self.prefetch_wasted += 1
-            self._schedule_prefetch(offset + cached[1])
             return cached
-        data, size = self._fetch_block(offset)
+        data, size = self._read_block_at(offset)
         if size == 0:
             self._known_eof = offset
             return data, size
         self.cache_misses += 1
-        self.cache_evictions += self._buffers.put(
-            self._cache_key, offset, (data, size)
-        )
-        self._schedule_prefetch(offset + size)
+        self._buffers.put(offset, (data, size))
         return data, size
 
     def _load_block(self, offset: int) -> None:
@@ -821,14 +492,9 @@ class BgzfReader:
         return self.tell()
 
     def close(self) -> None:
-        """Abandon the readahead pipeline, release the pool, the
-        buffer (if private) and the underlying handle (if owned)."""
-        self._discard_prefetch()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-        if self._cache_owned:
-            self._buffers.clear()
+        """Release the block buffer and the underlying handle (if
+        owned)."""
+        self._buffers.clear()
         if self._owned:
             self._handle.close()
 

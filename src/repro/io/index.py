@@ -191,9 +191,7 @@ class MultiContigIndex(Mapping):
         return cls(per_contig)
 
 
-def build_linear_index(
-    bam_path, granularity: int = 256, *, decompress_threads: int = 0
-) -> MultiContigIndex:
+def build_linear_index(bam_path, granularity: int = 256) -> MultiContigIndex:
     """Scan a BAM once and build the per-contig linear multi-index.
 
     The historical default index: every ``granularity``-th record per
@@ -204,33 +202,27 @@ def build_linear_index(
     Args:
         bam_path: coordinate-sorted BAM to scan.
         granularity: records per checkpoint (positive).
-        decompress_threads: BGZF readahead pool size for the scan
-            (``0`` = serial; the index is identical either way).
 
     Raises:
         ValueError: if ``granularity`` is not positive or the BAM is
             not coordinate-sorted.
     """
-    return MultiContigIndex(
-        _scan_linear(bam_path, granularity, decompress_threads)
-    )
+    return MultiContigIndex(_scan_linear(bam_path, granularity))
 
 
-def build_bai_index(bam_path, *, decompress_threads: int = 0):
+def build_bai_index(bam_path):
     """Scan a BAM once and build its standard BAI binning index
     (:class:`~repro.io.bai.BaiIndex`, names attached, query-ready).
 
     Args:
         bam_path: coordinate-sorted BAM to scan.
-        decompress_threads: BGZF readahead pool size for the scan
-            (``0`` = serial; the index is identical either way).
 
     Raises:
         ValueError: if the BAM is not coordinate-sorted.
     """
     from repro.io.bai import build_bai
 
-    return build_bai(bam_path, decompress_threads=decompress_threads)
+    return build_bai(bam_path)
 
 
 def load_index(path, names: Optional[Sequence[str]] = None):

@@ -56,11 +56,17 @@ class LinearIndex:
         """Virtual offset from which a scan is guaranteed to see every
         read overlapping position ``pos``.  Falls back to the first
         alignment record (never the raw file start, which would land a
-        reader on the BAM header)."""
+        reader on the BAM header).
+
+        The answer is the last checkpoint *strictly before* the first
+        position that can overlap ``pos``: a checkpoint is one record,
+        and reads at its own position may precede it in the file, so a
+        checkpoint at exactly that position could skip some of them.
+        """
         target = pos - self.max_read_span + 1
         best = self.data_start
         for cp_pos, voffset in self.checkpoints:
-            if cp_pos <= target:
+            if cp_pos < target:
                 best = voffset
             else:
                 break
@@ -206,9 +212,7 @@ def build_multi_index(
     return _scan_linear(bam_path, granularity)
 
 
-def _scan_linear(
-    bam_path, granularity: int = 256, decompress_threads: int = 0
-) -> Dict[str, LinearIndex]:
+def _scan_linear(bam_path, granularity: int = 256) -> Dict[str, LinearIndex]:
     """The single-scan implementation behind every linear-index
     builder: one :class:`LinearIndex` per contig with records.
 
@@ -224,7 +228,7 @@ def _scan_linear(
     if granularity <= 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
     builders: Dict[str, _ContigIndexBuilder] = {}
-    with BamReader(bam_path, decompress_threads=decompress_threads) as reader:
+    with BamReader(bam_path) as reader:
         rank = {
             name: i for i, (name, _) in enumerate(reader.header.references)
         }

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.core.filters import DynamicFilterPolicy, apply_filters, filter_once
-from repro.core.results import CallResult, RunStats, VariantCall
+from repro.core.results import IO_COUNTERS, CallResult, RunStats, VariantCall
 from repro.io.regions import Region
 from repro.parallel.partition import chunk_region, partition_region
 from repro.parallel.scheduler import make_scheduler
@@ -268,17 +268,9 @@ class Pipeline:
         io_stats = getattr(self.source, "io_stats", None)
         if io_stats is not None:
             counters = io_stats()
-            result.stats.cache_hits += int(counters.get("cache_hits", 0))
-            result.stats.cache_misses += int(counters.get("cache_misses", 0))
-            result.stats.cache_evictions += int(
-                counters.get("cache_evictions", 0)
-            )
-            result.stats.prefetch_hits += int(
-                counters.get("prefetch_hits", 0)
-            )
-            result.stats.prefetch_wasted += int(
-                counters.get("prefetch_wasted", 0)
-            )
+            for name in IO_COUNTERS:
+                total = getattr(result.stats, name) + int(counters.get(name, 0))
+                setattr(result.stats, name, total)
         # Sinks only open once calling has succeeded (filter labels are
         # fitted on the complete call set anyway, so nothing could
         # stream earlier) -- a failed run never leaves a header-only
@@ -448,13 +440,7 @@ def _process_worker(args: Tuple[int, List[Region]]):
         _evaluate_chunk(worker, source, caller, chunk, scope, tracer, merged)
     if baseline is not None:
         counters = io_stats()
-        for attr, key in (
-            ("cache_hits", "cache_hits"),
-            ("cache_misses", "cache_misses"),
-            ("cache_evictions", "cache_evictions"),
-            ("prefetch_hits", "prefetch_hits"),
-            ("prefetch_wasted", "prefetch_wasted"),
-        ):
-            delta = int(counters.get(key, 0)) - int(baseline.get(key, 0))
-            setattr(merged.stats, attr, getattr(merged.stats, attr) + delta)
+        for name in IO_COUNTERS:
+            delta = int(counters.get(name, 0)) - int(baseline.get(name, 0))
+            setattr(merged.stats, name, getattr(merged.stats, name) + delta)
     return merged.calls, merged.stats, tracer.events

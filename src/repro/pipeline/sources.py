@@ -44,6 +44,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.core.results import IO_COUNTERS
 from repro.io.records import AlignedRead
 from repro.io.regions import Region
 from repro.parallel.trace import Category, Tracer
@@ -68,6 +69,9 @@ ReferenceLike = Union[str, Mapping[str, object]]
 #: worker's in-flight construction memory is a few batches, large
 #: enough to amortise the vectorised passes.
 DEFAULT_BATCH_COLUMNS = 16384
+
+#: Every BGZF reader counter :meth:`BamSource.io_stats` sums.
+_READER_COUNTERS = IO_COUNTERS + ("blocks_read", "time_decompress")
 
 
 def _validate_batch_columns(batch_columns: Optional[int]) -> Optional[int]:
@@ -409,25 +413,12 @@ class BamSource:
         cache_blocks: decompressed BGZF blocks kept resident per
             worker reader (~64 KiB each; the
             :data:`DEFAULT_CACHE_BLOCKS` default bounds a reader's
-            buffer at ~2 MiB).  With ``shared_cache`` the same count
-            bounds one buffer shared by *all* workers.
-        decompress_threads: BGZF readahead inflation pool size per
-            worker reader (``0`` = serial; see
-            :class:`repro.io.bgzf.BgzfReader`).  Output is
-            byte-identical at any setting.
-        shared_cache: share one lock-guarded
-            :class:`repro.io.bgzf.SharedBlockCache` (capacity
-            ``cache_blocks`` total) across every worker reader of
-            this source, so thread workers scanning adjacent chunks
-            stop inflating the same blocks twice.  Shared per
-            process: forked children get their own copy-on-write
-            cache.
+            buffer at ~2 MiB).
 
     Raises:
         ValueError: if a single reference string is paired with regions
-            on more than one contig, ``batch_columns`` /
-            ``cache_blocks`` is not positive, or
-            ``decompress_threads`` is negative.
+            on more than one contig, or ``batch_columns`` /
+            ``cache_blocks`` is not positive.
     """
 
     #: Default per-work-unit column cap (the module-wide
@@ -448,11 +439,8 @@ class BamSource:
         batch_columns: Optional[int] = DEFAULT_BATCH_COLUMNS,
         index=None,
         cache_blocks: Optional[int] = None,
-        decompress_threads: int = 0,
-        shared_cache: bool = False,
     ) -> None:
         from repro.io.bam import BamReader
-        from repro.io.bgzf import SharedBlockCache
 
         self.path = os.fspath(path)
         self.batch_columns = _validate_batch_columns(batch_columns)
@@ -462,17 +450,7 @@ class BamSource:
             raise ValueError(
                 f"cache_blocks must be positive, got {cache_blocks}"
             )
-        if decompress_threads < 0:
-            raise ValueError(
-                f"decompress_threads must be >= 0, got {decompress_threads}"
-            )
         self.cache_blocks = cache_blocks
-        self.decompress_threads = decompress_threads
-        #: one decompressed-block budget for all workers (or None for
-        #: private per-reader buffers)
-        self.block_cache = (
-            SharedBlockCache(cache_blocks) if shared_cache else None
-        )
         self.pileup_config = pileup_config or PileupConfig()
         with BamReader(self.path) as reader:
             self.contigs: List[Tuple[str, int]] = list(
@@ -564,14 +542,8 @@ class BamSource:
         reader = getattr(self._local, "reader", None)
         if reader is None or getattr(self._local, "pid", None) != key:
             # Independent reader per worker, with its own
-            # decompressed-block LRU buffer (or the source-wide shared
-            # one) and its own readahead pool.
-            reader = BamReader(
-                self.path,
-                cache_blocks=self.cache_blocks,
-                decompress_threads=self.decompress_threads,
-                cache=self.block_cache,
-            )
+            # decompressed-block LRU buffer.
+            reader = BamReader(self.path, cache_blocks=self.cache_blocks)
             self._local.reader = reader
             self._local.pid = key
             with self._readers_lock:
@@ -671,42 +643,21 @@ class BamSource:
 
     def io_stats(self) -> Dict[str, float]:
         """Aggregate I/O counters over every reader this source has
-        created (in this process): BGZF blocks inflated, inflation
-        seconds, the decompressed-block LRU's hit/miss/eviction
-        counts, and the readahead pool's prefetch-hit/wasted/queue-
-        depth counters.  Readers created inside forked worker processes
-        (process backend) live in the children and are not visible
-        here -- but the process backend's workers fold their own
-        deltas into the stats they return, so pipeline-level
+        created (in this process): the decompressed-block LRU's
+        :data:`~repro.core.results.IO_COUNTERS`, BGZF blocks inflated
+        and inflation seconds.  Readers created inside forked worker
+        processes (process backend) live in the children and are not
+        visible here -- but the process backend's workers fold their
+        own deltas into the stats they return, so pipeline-level
         :class:`~repro.core.results.RunStats` totals are complete on
         every backend.
         """
-        stats = {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_evictions": 0,
-            "blocks_read": 0,
-            "time_decompress": 0.0,
-            "prefetch_hits": 0,
-            "prefetch_wasted": 0,
-            "pool_depth_peak": 0,
-        }
         with self._readers_lock:
-            readers = list(self._all_readers)
-        for reader in readers:
-            bgzf = reader._bgzf
-            stats["cache_hits"] += bgzf.cache_hits
-            stats["cache_misses"] += bgzf.cache_misses
-            stats["cache_evictions"] += bgzf.cache_evictions
-            stats["blocks_read"] += bgzf.blocks_read
-            stats["time_decompress"] += bgzf.time_decompress
-            stats["prefetch_hits"] += bgzf.prefetch_hits
-            stats["prefetch_wasted"] += bgzf.prefetch_wasted
-            # Summed (not maxed) so the value is monotone, which keeps
-            # baseline-delta accounting (serve RegionViews, the
-            # process backend) correct.
-            stats["pool_depth_peak"] += bgzf.pool_depth_peak
-        return stats
+            readers = [reader._bgzf for reader in self._all_readers]
+        return {
+            name: sum(getattr(bgzf, name) for bgzf in readers)
+            for name in _READER_COUNTERS
+        }
 
     def columns_for(
         self,

@@ -77,9 +77,6 @@ class CallService:
         warm_sources: warm ``BamSource`` instances per worker.
         cache_blocks: per-reader decompressed-block LRU size for the
             warm readers (``None`` uses the BamSource default).
-        decompress_threads: BGZF readahead pool size for the warm
-            readers (``None`` uses the BamSource default, i.e.
-            serial; response bodies are byte-identical either way).
         on_full: ``"reject"`` raises
             :class:`~repro.serve.models.ServerOverloadedError` when
             ``max_pending`` is reached; ``"wait"`` queues the
@@ -98,7 +95,6 @@ class CallService:
         result_cache_entries: int = 256,
         warm_sources: int = 4,
         cache_blocks: Optional[int] = None,
-        decompress_threads: Optional[int] = None,
         on_full: str = "reject",
     ) -> None:
         if max_pending <= 0:
@@ -109,22 +105,13 @@ class CallService:
             raise ValueError(
                 f"cache_blocks must be positive, got {cache_blocks}"
             )
-        if decompress_threads is not None and decompress_threads < 0:
-            raise ValueError(
-                f"decompress_threads must be >= 0, got {decompress_threads}"
-            )
         self.default_reference = default_reference
         self.max_pending = max_pending
         self.on_full = on_full
         self._cache = ResultCache(result_cache_entries)
         self._shards = ShardMap(n_workers)
         self._workers: List[ShardWorker] = [
-            ShardWorker(
-                i,
-                warm_sources=warm_sources,
-                cache_blocks=cache_blocks,
-                decompress_threads=decompress_threads,
-            )
+            ShardWorker(i, warm_sources=warm_sources, cache_blocks=cache_blocks)
             for i in range(n_workers)
         ]
         for worker in self._workers:

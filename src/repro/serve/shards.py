@@ -147,9 +147,6 @@ class ShardWorker(threading.Thread):
         warm_sources: BamSource instances kept warm (LRU beyond it).
         cache_blocks: per-reader decompressed-block LRU size handed to
             every warm source (``None`` uses the source default).
-        decompress_threads: BGZF readahead pool size handed to every
-            warm source's readers (``None`` uses the source default,
-            i.e. serial; results are byte-identical either way).
 
     The thread drains :attr:`queue` until it sees the ``None``
     sentinel; every :class:`WorkItem` is answered through its
@@ -164,7 +161,6 @@ class ShardWorker(threading.Thread):
         *,
         warm_sources: int = 4,
         cache_blocks: Optional[int] = None,
-        decompress_threads: Optional[int] = None,
     ) -> None:
         super().__init__(name=f"serve-shard-{shard_id}", daemon=True)
         if warm_sources <= 0:
@@ -174,7 +170,6 @@ class ShardWorker(threading.Thread):
         self.shard_id = shard_id
         self.queue: "queue.Queue[Optional[WorkItem]]" = queue.Queue()
         self.cache_blocks = cache_blocks
-        self.decompress_threads = decompress_threads
         self._sources: LruCache[tuple, object] = LruCache(warm_sources)
         self._references: LruCache[FileFingerprint, dict] = LruCache(
             max(2, warm_sources)
@@ -203,13 +198,7 @@ class ShardWorker(threading.Thread):
         """The warm :class:`BamSource` for this request's (bam,
         reference, pileup config), creating and caching it on miss."""
         ref_fp = FileFingerprint.of(request.reference)
-        key = (
-            bam,
-            ref_fp,
-            request.pileup,
-            self.cache_blocks,
-            self.decompress_threads,
-        )
+        key = (bam, ref_fp, request.pileup, self.cache_blocks)
         source = self._sources.get(key)
         self.last_warm_source = source is not None
         if source is None:
@@ -218,8 +207,6 @@ class ShardWorker(threading.Thread):
             kwargs = {}
             if self.cache_blocks is not None:
                 kwargs["cache_blocks"] = self.cache_blocks
-            if self.decompress_threads is not None:
-                kwargs["decompress_threads"] = self.decompress_threads
             source = BamSource(
                 bam.path,
                 self._reference_for(ref_fp),

@@ -568,12 +568,12 @@ def _sink_bytes(source, engine, sink_kind, contigs):
 
 @pytest.mark.parametrize("engine", ["streaming", "batched"])
 @pytest.mark.parametrize("sink_kind", ["vcf", "jsonl"])
-def test_decompress_threads_byte_identical_across_sources(
+def test_all_sources_byte_identical(
     tmp_path, dataset, engine, sink_kind
 ):
-    """Pipeline output with a pooled BGZF reader (threads 2 and 8) is
-    bit-for-bit the serial output -- and all four source flavours
-    agree on it, for both engines and both sink formats."""
+    """All four source flavours (BAM, reads, sample, columns) produce
+    bit-for-bit the same pipeline output, for both engines and both
+    sink formats."""
     from repro.io.regions import Region
     from repro.pileup.vectorized import pileup_sample
     from repro.pipeline import (
@@ -608,38 +608,7 @@ def test_decompress_threads_byte_identical_across_sources(
         )
         == baseline
     )
-    for threads in (0, 2, 8):
-        got = _sink_bytes(
-            BamSource(
-                bam, genome.sequence, decompress_threads=threads
-            ),
-            engine,
-            sink_kind,
-            contigs,
-        )
-        assert got == baseline, f"decompress_threads={threads} diverged"
-
-
-def test_decompress_threads_identical_under_thread_backend(tmp_path):
-    """The pooled reader composes with the threaded execution backend
-    (readers per worker, each with its own pool) without changing a
-    byte of the merged result."""
-    import dataclasses as _dc
-
-    from repro.pipeline import BamSource, ExecutionPolicy, Pipeline
-
-    dataset = _dataset("deep")
-    bam = tmp_path / "deep.bam"
-    dataset.write_bam(bam)
-    policy = ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=128)
-    results = {}
-    for threads in (0, 4):
-        results[threads] = Pipeline(
-            BamSource(bam, dataset.genome.sequence, decompress_threads=threads),
-            config=CallerConfig(engine="batched"),
-            policy=policy,
-        ).run()
-    assert [_dc.astuple(c) for c in results[4].calls] == [
-        _dc.astuple(c) for c in results[0].calls
-    ]
-    assert results[4].stats.decisions == results[0].stats.decisions
+    assert (
+        _sink_bytes(BamSource(bam, genome.sequence), engine, sink_kind, contigs)
+        == baseline
+    )

@@ -82,6 +82,34 @@ class TestQuery:
             assert rec.qname == "r0"
 
 
+class TestSharedPositionCheckpoint:
+    """A checkpoint is one record; reads that share its position but
+    precede it in the file must not be skipped by a seek."""
+
+    def test_seek_keeps_earlier_reads(self, tmp_path):
+        from repro.io.index import build_linear_index
+
+        header = SamHeader(references=[("chr1", 1000)], sort_order="coordinate")
+        reads = [
+            AlignedRead.simple(f"r{i}", "chr1", pos, "ACGTACGTAC", [30] * 10)
+            for i, pos in enumerate((0, 0, 0, 5, 5, 5, 20))
+        ]
+        path = tmp_path / "shared.bam"
+        write_bam(path, header, reads)
+        # granularity 2 checkpoints r0, r2, r4 and r6: r4 is the second
+        # read at position 5, so r3 precedes its checkpoint.
+        index = build_linear_index(path, granularity=2)
+        (chunk,) = index.chunks_for("chr1", 14, 15)
+        with BamReader(path) as reader:
+            reader.seek(chunk.vbegin)
+            seen = [
+                rec.qname
+                for rec in iter(reader.read_record, None)
+                if rec.pos <= 14 < rec.reference_end
+            ]
+        assert seen == ["r3", "r4", "r5"]
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, indexed_bam, tmp_path):
         index = build_index(indexed_bam, granularity=128)

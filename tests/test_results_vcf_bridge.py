@@ -1,6 +1,9 @@
 """Tests for the VariantCall <-> VCF bridge and CallResult algebra."""
 
+import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from repro.core.results import CallResult, RunStats, VariantCall
@@ -80,3 +83,31 @@ class TestCallResult:
             calls=[make_call(alt="T"), make_call(alt="G")], stats=RunStats()
         )
         assert len(result.keys()) == 2
+
+
+class TestRunStats:
+    @staticmethod
+    def _numeric_fields():
+        return [f.name for f in dataclasses.fields(RunStats) if f.name != "decisions"]
+
+    def test_merge_adds_every_numeric_field(self):
+        names = self._numeric_fields()
+        a = RunStats(decisions={"called": 1}, **{n: i + 1 for i, n in enumerate(names)})
+        b = RunStats(
+            decisions={"called": 2, "skipped_approx": 3},
+            **{n: 10 * (i + 1) for i, n in enumerate(names)},
+        )
+        a.merge(b)
+        assert [getattr(a, n) for n in names] == [11 * (i + 1) for i in range(len(names))]
+        assert a.decisions == {"called": 3, "skipped_approx": 3}
+
+    def test_to_dict_exports_each_field_as_plain_json(self):
+        stats = RunStats(dp_steps=np.int64(7), time_total=np.float64(0.5))
+        out = stats.to_dict()
+        assert set(out) == {f.name for f in dataclasses.fields(RunStats)} | {
+            "skip_fraction",
+            "cache_hit_rate",
+        }
+        assert type(out["dp_steps"]) is int and out["dp_steps"] == 7
+        assert type(out["time_total"]) is float and out["time_total"] == 0.5
+        json.dumps(out)

@@ -463,62 +463,3 @@ class TestTcpFrontEnd:
         assert bad["status"] == "error" and bad["kind"] == "ValidationError"
         assert stats["status"] == "ok"
         assert stats["stats"]["computed"] == 1
-
-
-class TestDecompressThreads:
-    """The pooled BGZF reader behind the serve path changes no bytes."""
-
-    @pytest.mark.parametrize("threads", [0, 2, 8])
-    @pytest.mark.parametrize("output_format", ["vcf", "jsonl"])
-    def test_served_body_identical_with_pool(
-        self, dataset, threads, output_format
-    ):
-        source = BamSource(
-            dataset["bam"],
-            {dataset["genome"].name: dataset["genome"].sequence},
-        )
-        buf = io.StringIO()
-        sink = (
-            VcfSink(buf, contigs=source.contigs)
-            if output_format == "vcf"
-            else JsonlSink(buf)
-        )
-        Pipeline(source, sinks=[sink]).run()
-        with ServeClient(
-            default_reference=dataset["ref"],
-            n_workers=2,
-            decompress_threads=threads,
-        ) as client:
-            served = client.call(
-                dataset["bam"], output_format=output_format
-            )
-        assert served.body == buf.getvalue()
-
-    def test_pool_counters_surface_in_served_stats(self, dataset):
-        with ServeClient(
-            default_reference=dataset["ref"],
-            n_workers=1,
-            decompress_threads=2,
-        ) as client:
-            served = client.call(dataset["bam"])
-        # Pipeline.run folds the RegionView's io_stats() delta into the
-        # RunStats that the serve layer snapshots into the response.
-        assert served.stats["prefetch_hits"] > 0
-        assert "prefetch_wasted" in served.stats
-
-    def test_negative_threads_rejected(self):
-        with pytest.raises(ValueError, match="decompress_threads"):
-            CallService(decompress_threads=-1)
-
-    def test_warm_source_key_includes_threads(self, dataset):
-        worker = ShardWorker(0, warm_sources=4, decompress_threads=2)
-        from repro.serve.models import CallRequest, FileFingerprint
-
-        request = CallRequest(bam=dataset["bam"], reference=dataset["ref"])
-        bam_fp = FileFingerprint.of(dataset["bam"])
-        a = worker._source_for(request, bam_fp)
-        assert worker._source_for(request, bam_fp) is a
-        assert a.decompress_threads == 2
-        other = ShardWorker(1, warm_sources=4)
-        b = other._source_for(request, bam_fp)
-        assert b.decompress_threads == 0
