@@ -16,8 +16,8 @@ import time
 
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
+from repro.pipeline import Pipeline, SampleSource
 
 from conftest import write_report
 
@@ -34,7 +34,7 @@ def test_margin_runtime(benchmark, table1_workload, margin):
     sample = _deep_sample(table1_workload)
     cfg = CallerConfig.improved(approx_margin=margin)
     result = benchmark.pedantic(
-        VariantCaller(cfg).call_sample, args=(sample,), rounds=1, iterations=1
+        Pipeline(SampleSource(sample), config=cfg).run, rounds=1, iterations=1
     )
     benchmark.extra_info["margin"] = margin
     benchmark.extra_info["skip_fraction"] = round(
@@ -46,17 +46,19 @@ def test_margin_report(benchmark, table1_workload):
     sample = _deep_sample(table1_workload)
 
     def sweep():
-        baseline = VariantCaller(CallerConfig.original()).call_sample(sample)
+        baseline = Pipeline(
+            SampleSource(sample), config=CallerConfig.original()
+        ).run()
         rows = []
         for margin in MARGINS:
             cfg = CallerConfig.improved(approx_margin=margin)
             t0 = time.perf_counter()
-            r = VariantCaller(cfg).call_sample(sample)
+            r = Pipeline(SampleSource(sample), config=cfg).run()
             rows.append((f"{margin:g}", time.perf_counter() - t0, r))
         # Adaptive margin (Discussion future-work): shrink with depth.
         cfg = CallerConfig.improved(approx_margin=0.01, adaptive_margin=1000)
         t0 = time.perf_counter()
-        r = VariantCaller(cfg).call_sample(sample)
+        r = Pipeline(SampleSource(sample), config=cfg).run()
         rows.append(("adaptive", time.perf_counter() - t0, r))
         return baseline, rows
 
@@ -95,12 +97,14 @@ def test_depth_gate_report(benchmark, table1_workload):
         for gate in (0, 100, 1000):
             cfg = CallerConfig.improved(approx_min_depth=gate)
             t0 = time.perf_counter()
-            r = VariantCaller(cfg).call_sample(shallow)
+            r = Pipeline(SampleSource(shallow), config=cfg).run()
             rows.append((gate, time.perf_counter() - t0, r))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    baseline = VariantCaller(CallerConfig.original()).call_sample(shallow)
+    baseline = Pipeline(
+        SampleSource(shallow), config=CallerConfig.original()
+    ).run()
     lines = [
         "Depth-gate ablation at 50x (paper gates the shortcut at depth >= 100)",
         "",

@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
 from repro.parallel.trace import Tracer, imbalance_metrics
+from repro.pipeline import ExecutionPolicy, Pipeline, SampleSource
 
 from conftest import write_report
 
@@ -30,15 +30,14 @@ GRID = [
 def _run(sample, schedule, chunk):
     tracer = Tracer()
     t0 = time.perf_counter()
-    result = parallel_call(
-        sample,
-        sample.genome.sequence,
-        options=ParallelCallOptions(
-            n_workers=N_WORKERS, schedule=schedule, chunk_columns=chunk,
-            backend="thread",
+    result = Pipeline(
+        SampleSource(sample),
+        policy=ExecutionPolicy(
+            mode="thread", n_workers=N_WORKERS, schedule=schedule,
+            chunk_columns=chunk,
         ),
         tracer=tracer,
-    )
+    ).run()
     return time.perf_counter() - t0, result, tracer
 
 

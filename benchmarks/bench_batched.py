@@ -50,7 +50,6 @@ from repro.core.batched import (
     qual_prob_table,
     screen_batch,
 )
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.core.model import allele_error_probabilities, candidate_alleles
 from repro.core.results import ColumnDecision, RunStats
@@ -58,6 +57,7 @@ from repro.core.workflow import exact_allele_decision
 from repro.io.regions import Region
 from repro.pileup.column import PileupColumn
 from repro.pileup.vectorized import pileup_sample, pileup_sample_batch
+from repro.pipeline import Pipeline, SampleSource
 from repro.stats.approximation import (
     poisson_tail_approx,
     poisson_tail_approx_batch,
@@ -182,9 +182,9 @@ def test_screening_stage_speedup(benchmark, screening_sample):
     # Anchor the hand-rolled stage copies above to the shipped engine:
     # if repro.core.batched changes its screen, the skip census here
     # must move with it or this trips.
-    engine_result = VariantCaller(
-        CallerConfig.improved(engine="batched")
-    ).call_sample(sample)
+    engine_result = Pipeline(
+        SampleSource(sample), config=CallerConfig.improved(engine="batched")
+    ).run()
     assert engine_result.stats.exact_skipped == sum(batch)
     lines = [
         "Screening stage: scalar per-allele loop vs vectorised batch pass",
@@ -418,9 +418,9 @@ def test_columnar_pileup_screen_speedup(benchmark, screening_sample):
     assert base_stats.tests_run == col_stats.tests_run
     # Anchor to the shipped engine: the columnar pipeline must reach
     # the same skip census end to end.
-    engine_result = VariantCaller(
-        CallerConfig.improved(engine="batched")
-    ).call_sample(sample)
+    engine_result = Pipeline(
+        SampleSource(sample), config=CallerConfig.improved(engine="batched")
+    ).run()
     assert engine_result.stats.exact_skipped == col_skipped
     speedup = t_base / t_col if t_col > 0 else float("inf")
     lines = [
@@ -543,9 +543,9 @@ def test_exact_stage_speedup(benchmark, exact_stage_sample):
     assert lift_stats.dp_steps == batch_stats.dp_steps
     # Anchor to the shipped engine: a full batched run must reach the
     # same decision census as screen + batch exact stage here.
-    engine_result = VariantCaller(
-        CallerConfig.original(engine="batched")
-    ).call_sample(sample)
+    engine_result = Pipeline(
+        SampleSource(sample), config=CallerConfig.original(engine="batched")
+    ).run()
     merged = dict(pre.decisions)
     for k, v in batch_stats.decisions.items():
         merged[k] = merged.get(k, 0) + v
@@ -596,14 +596,14 @@ def test_engine_end_to_end(benchmark, table1_workload):
         for depth in sorted(samples):
             sample = samples[depth]
             t0 = time.perf_counter()
-            streaming = VariantCaller(
-                CallerConfig.improved()
-            ).call_sample(sample)
+            streaming = Pipeline(
+                SampleSource(sample), config=CallerConfig.improved()
+            ).run()
             t_stream = time.perf_counter() - t0
             t0 = time.perf_counter()
-            batched = VariantCaller(
-                CallerConfig.improved(engine="batched")
-            ).call_sample(sample)
+            batched = Pipeline(
+                SampleSource(sample), config=CallerConfig.improved(engine="batched")
+            ).run()
             t_batch = time.perf_counter() - t0
             rows.append((depth, t_stream, t_batch, streaming, batched))
         return rows

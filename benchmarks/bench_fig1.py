@@ -14,8 +14,8 @@ tests end in each terminal state -- which the second benchmark emits.
 import numpy as np
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
+from repro.pipeline import Pipeline, SampleSource
 from repro.stats.approximation import le_cam_bound, poisson_lambda
 from repro.stats.poisson import poisson_pmf, poisson_sf
 from repro.stats.poisson_binomial import poibin_pmf_dp, poibin_sf_dp
@@ -77,13 +77,11 @@ def test_fig1b_workflow_census(benchmark, table1_workload):
     _, _, samples = table1_workload
     sample = samples[max(samples)]
 
-    def run():
-        return VariantCaller(CallerConfig.improved()).call_sample(sample)
-
+    run = Pipeline(SampleSource(sample), config=CallerConfig.improved()).run
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    batched = VariantCaller(
-        CallerConfig.improved(engine="batched")
-    ).call_sample(sample)
+    batched = Pipeline(
+        SampleSource(sample), config=CallerConfig.improved(engine="batched")
+    ).run()
     assert batched.stats.decisions == result.stats.decisions
     assert batched.keys() == result.keys()
     stats = result.stats

@@ -12,8 +12,8 @@ reduce imbalance).
 
 import pytest
 
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
 from repro.parallel.trace import Tracer, imbalance_metrics, render_timeline
+from repro.pipeline import ExecutionPolicy, Pipeline, SampleSource
 
 from conftest import write_report, write_stats_report
 
@@ -22,15 +22,14 @@ N_WORKERS = 8
 
 def _run(sample, schedule, chunk_columns=64):
     tracer = Tracer()
-    result = parallel_call(
-        sample,
-        sample.genome.sequence,
-        options=ParallelCallOptions(
-            n_workers=N_WORKERS, schedule=schedule, chunk_columns=chunk_columns,
-            backend="thread",
+    result = Pipeline(
+        SampleSource(sample),
+        policy=ExecutionPolicy(
+            mode="thread", n_workers=N_WORKERS, schedule=schedule,
+            chunk_columns=chunk_columns,
         ),
         tracer=tracer,
-    )
+    ).run()
     return result, tracer
 
 

@@ -11,25 +11,26 @@ Paper facts to reproduce in shape:
 import pytest
 
 from repro.analysis.upset import compute_upset, render_upset
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
+from repro.pipeline import Pipeline, SampleSource
 
 from conftest import write_report
 
 
 @pytest.fixture(scope="module")
 def suite_results(figure3_suite):
-    caller = VariantCaller(CallerConfig.improved())
-    return {ds.label: caller.call_sample(ds.sample) for ds in figure3_suite}
+    config = CallerConfig.improved()
+    return {
+        ds.label: Pipeline(SampleSource(ds.sample), config=config).run()
+        for ds in figure3_suite
+    }
 
 
 def test_fig3_calling_suite(benchmark, figure3_suite):
     """Time calling the middle (100,000x-analogue) dataset."""
     ds = figure3_suite[2]
-    caller = VariantCaller(CallerConfig.improved())
-    result = benchmark.pedantic(
-        caller.call_sample, args=(ds.sample,), rounds=1, iterations=1
-    )
+    pipeline = Pipeline(SampleSource(ds.sample), config=CallerConfig.improved())
+    result = benchmark.pedantic(pipeline.run, rounds=1, iterations=1)
     benchmark.extra_info["dataset"] = ds.label
     benchmark.extra_info["n_calls"] = len(result.passed)
 

@@ -15,10 +15,8 @@ single-process run).
 
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
-from repro.parallel.legacy import legacy_parallel_call
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
+from repro.pipeline import ExecutionPolicy, Pipeline, SampleSource
 from repro.sim.genome import random_genome
 from repro.sim.haplotypes import ArtifactSpec, random_panel
 from repro.sim.reads import ReadSimulator
@@ -44,22 +42,26 @@ def tricky_sample():
 
 
 def test_filterbug_report(benchmark, tricky_sample):
-    genome, sample = tricky_sample
+    _, sample = tricky_sample
+    config = CallerConfig.improved()
 
     def run_everything():
-        single = VariantCaller(CallerConfig.improved()).call_sample(sample)
+        single = Pipeline(SampleSource(sample), config=config).run()
         legacy = {
-            n: legacy_parallel_call(
-                sample, genome.sequence, n_partitions=n,
-                config=CallerConfig.improved(),
-            )
+            n: Pipeline(
+                SampleSource(sample),
+                config=config,
+                policy=ExecutionPolicy(mode="legacy", n_workers=n),
+            ).run()
             for n in (1, 2, 4, 8)
         }
         openmp = {
-            n: parallel_call(
-                sample, genome.sequence,
-                options=ParallelCallOptions(n_workers=n),
-            )
+            n: Pipeline(
+                SampleSource(sample),
+                policy=ExecutionPolicy(
+                    mode="thread", n_workers=n, chunk_columns=256
+                ),
+            ).run()
             for n in (1, 2, 4, 8)
         }
         return single, legacy, openmp
@@ -106,16 +108,11 @@ def test_filterbug_report(benchmark, tricky_sample):
 def test_filterbug_mode_runtime(benchmark, tricky_sample, mode):
     """Runtime comparison of the two parallel organisations (same
     4-way work split)."""
-    genome, sample = tricky_sample
+    _, sample = tricky_sample
     if mode == "legacy":
-        def fn():
-            return legacy_parallel_call(
-                sample, genome.sequence, n_partitions=4
-            )
+        policy = ExecutionPolicy(mode="legacy", n_workers=4)
     else:
-        def fn():
-            return parallel_call(
-                sample, genome.sequence,
-                options=ParallelCallOptions(n_workers=4),
-            )
-    benchmark.pedantic(fn, rounds=1, iterations=1)
+        policy = ExecutionPolicy(mode="thread", n_workers=4, chunk_columns=256)
+    benchmark.pedantic(
+        Pipeline(SampleSource(sample), policy=policy).run, rounds=1, iterations=1
+    )

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
+from repro.pipeline import ExecutionPolicy, Pipeline, SampleSource
 
 from conftest import FAST, write_report, write_stats_report
 
@@ -20,17 +20,10 @@ WORKER_COUNTS = [1, 2, 4, 8]
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_scaling_walltime(benchmark, hotspot_sample, workers):
-    sample = hotspot_sample
-
-    def run():
-        return parallel_call(
-            sample,
-            sample.genome.sequence,
-            options=ParallelCallOptions(
-                n_workers=workers, backend="process", schedule="static",
-            ),
-        )
-
+    policy = ExecutionPolicy(
+        mode="process", n_workers=workers, chunk_columns=256, schedule="static"
+    )
+    run = Pipeline(SampleSource(hotspot_sample), policy=policy).run
     benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["workers"] = workers
 
@@ -43,13 +36,13 @@ def test_scaling_report(benchmark, hotspot_sample):
         reference = None
         for workers in WORKER_COUNTS:
             t0 = time.perf_counter()
-            result = parallel_call(
-                sample,
-                sample.genome.sequence,
-                options=ParallelCallOptions(
-                    n_workers=workers, backend="process", schedule="static",
+            result = Pipeline(
+                SampleSource(sample),
+                policy=ExecutionPolicy(
+                    mode="process", n_workers=workers, chunk_columns=256,
+                    schedule="static",
                 ),
-            )
+            ).run()
             wall = time.perf_counter() - t0
             if reference is None:
                 reference = result.keys()

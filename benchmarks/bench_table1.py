@@ -26,14 +26,10 @@ import time
 
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
+from repro.pipeline import Pipeline, SampleSource
 
 from conftest import FAST, write_report, write_stats_report
-
-
-def _call(sample, config):
-    return VariantCaller(config).call_sample(sample)
 
 
 def _depth_params(table1_workload):
@@ -60,7 +56,8 @@ def test_table1_runtime(benchmark, table1_workload, depth, version):
     sample = samples[depth]
     config = VERSION_CONFIGS[version]()
     result = benchmark.pedantic(
-        _call, args=(sample, config), rounds=1, iterations=1, warmup_rounds=0
+        Pipeline(SampleSource(sample), config=config).run,
+        rounds=1, iterations=1, warmup_rounds=0,
     )
     benchmark.extra_info["depth"] = depth
     benchmark.extra_info["version"] = version
@@ -78,13 +75,19 @@ def test_table1_report(benchmark, table1_workload):
         for depth in sorted(samples):
             sample = samples[depth]
             t0 = time.perf_counter()
-            orig = _call(sample, CallerConfig.original())
+            orig = Pipeline(
+                SampleSource(sample), config=CallerConfig.original()
+            ).run()
             t_orig = time.perf_counter() - t0
             t0 = time.perf_counter()
-            new = _call(sample, CallerConfig.improved())
+            new = Pipeline(
+                SampleSource(sample), config=CallerConfig.improved()
+            ).run()
             t_new = time.perf_counter() - t0
             t0 = time.perf_counter()
-            bat = _call(sample, CallerConfig.improved(engine="batched"))
+            bat = Pipeline(
+                SampleSource(sample), config=CallerConfig.improved(engine="batched")
+            ).run()
             t_bat = time.perf_counter() - t0
             rows.append((depth, t_orig, t_new, t_bat, orig, new, bat))
         return rows

@@ -11,7 +11,7 @@ Run:  python examples/covid_five_datasets.py
 
 import time
 
-from repro import CallerConfig, VariantCaller, paper_dataset_suite
+from repro import CallerConfig, Pipeline, SampleSource, paper_dataset_suite
 from repro.analysis import compute_upset, render_upset
 
 
@@ -20,14 +20,14 @@ def main() -> None:
     suite = paper_dataset_suite(
         genome_length=1_200, depth_scale=200.0, panel_scale=10.0, seed=2021
     )
-    caller = VariantCaller(CallerConfig.improved())
+    config = CallerConfig.improved()
 
     call_sets = {}
     print(f"\n{'dataset':>9} {'depth':>8} {'truth':>6} {'called':>7} "
           f"{'recall':>7} {'time (s)':>9} {'skip rate':>10}")
     for ds in suite:
         t0 = time.perf_counter()
-        result = caller.call_sample(ds.sample)
+        result = Pipeline(SampleSource(ds.sample), config=config).run()
         elapsed = time.perf_counter() - t0
         call_sets[ds.label] = result.keys()
         truth = {

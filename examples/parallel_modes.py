@@ -14,13 +14,8 @@ Run:  python examples/parallel_modes.py
 
 import time
 
-from repro import CallerConfig, VariantCaller
-from repro.parallel import (
-    ParallelCallOptions,
-    Tracer,
-    legacy_parallel_call,
-    parallel_call,
-)
+from repro import CallerConfig, ExecutionPolicy, Pipeline, SampleSource
+from repro.parallel import Tracer
 from repro.parallel.trace import imbalance_metrics, render_timeline
 from repro.sim.genome import random_genome
 from repro.sim.haplotypes import ArtifactSpec, random_panel
@@ -40,24 +35,26 @@ def build_sample():
         for p, rate in [(100, 0.04), (600, 0.05), (1100, 0.06), (1600, 0.045)]
     ]
     sim = ReadSimulator(genome, panel, read_length=80, artifacts=artifacts)
-    return genome, sim.simulate(depth=500, seed=1)
+    return sim.simulate(depth=500, seed=1)
 
 
 def main() -> None:
-    genome, sample = build_sample()
-    single = VariantCaller(CallerConfig.improved()).call_sample(sample)
+    sample = build_sample()
+    single = Pipeline(SampleSource(sample), config=CallerConfig.improved()).run()
     print(f"single-process reference: {len(single.passed)} PASS calls")
 
     print("\n--- OpenMP-style shared-memory driver ---")
     tracer = Tracer()
     for workers in (1, 2, 4, 8):
         t0 = time.perf_counter()
-        result = parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=workers, schedule="dynamic"),
+        result = Pipeline(
+            SampleSource(sample),
+            policy=ExecutionPolicy(
+                mode="thread", n_workers=workers, chunk_columns=256,
+                schedule="dynamic",
+            ),
             tracer=tracer if workers == 8 else None,
-        )
+        ).run()
         elapsed = time.perf_counter() - t0
         match = "==" if result.keys() == single.keys() else "!="
         print(
@@ -78,9 +75,10 @@ def main() -> None:
     print("\n--- legacy wrapper (double dynamic filtering) ---")
     outputs = set()
     for parts in (1, 2, 4, 8):
-        result = legacy_parallel_call(
-            sample, genome.sequence, n_partitions=parts
-        )
+        result = Pipeline(
+            SampleSource(sample),
+            policy=ExecutionPolicy(mode="legacy", n_workers=parts),
+        ).run()
         outputs.add(frozenset(result.keys()))
         match = "==" if result.keys() == single.keys() else "!="
         print(

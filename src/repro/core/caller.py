@@ -1,17 +1,12 @@
 """The variant caller: LoFreq's column loop with the paper's shortcut.
 
 :class:`VariantCaller` drives the Figure 1b workflow over a stream of
-pileup columns.  :meth:`call_columns` is the core per-unit evaluator
-the pipeline engine (:mod:`repro.pipeline`) schedules; the historical
-substrate entry points remain as thin adapters over that pipeline:
-
-* :meth:`call_reads` -- coordinate-sorted reads (now
-  ``Pipeline(ReadsSource(...))``);
-* :meth:`call_sample` -- a simulated sample through the vectorised
-  pileup (now ``Pipeline(SampleSource(...))``);
-* :meth:`call_bam` -- a BAM file on disk (now
-  ``Pipeline(BamSource(...))``; with no explicit region it calls
-  **every** contig in the header, not just the first).
+pileup columns.  :meth:`~VariantCaller.call_columns` is the per-unit
+evaluator the pipeline engine (:mod:`repro.pipeline`) schedules; it
+returns raw significance calls, and
+:meth:`repro.pipeline.Pipeline.run` applies the post-call filter to
+the merged set.  To call a BAM, a read stream or a simulated sample,
+build a :class:`~repro.pipeline.Pipeline` over the matching source.
 
 The caller itself is deliberately single-threaded; parallel operation
 is the job of the pipeline's :class:`~repro.pipeline.ExecutionPolicy`,
@@ -30,13 +25,9 @@ from repro.core.batched import (
     evaluate_columns_batched,
 )
 from repro.core.config import CallerConfig
-from repro.core.filters import DynamicFilterPolicy, filter_once
 from repro.core.results import CallResult, RunStats, VariantCall
 from repro.core.workflow import evaluate_column
-from repro.io.records import AlignedRead
-from repro.io.regions import Region
 from repro.pileup.column import ColumnBatch, PileupColumn
-from repro.pileup.engine import PileupConfig
 
 __all__ = ["VariantCaller"]
 
@@ -48,31 +39,15 @@ class VariantCaller:
         config: workflow parameters; defaults to the improved preset
             (the paper's version).  Use ``CallerConfig.original()``
             for the pre-paper behaviour.
-        pileup_config: pileup filtering parameters.
-        filter_policy: post-call filter policy applied by
-            :meth:`finalise`; ``None`` disables post-filtering (raw
-            significance calls only).
     """
 
-    def __init__(
-        self,
-        config: Optional[CallerConfig] = None,
-        *,
-        pileup_config: Optional[PileupConfig] = None,
-        filter_policy: Optional[DynamicFilterPolicy] = DynamicFilterPolicy(),
-    ) -> None:
+    def __init__(self, config: Optional[CallerConfig] = None) -> None:
         self.config = config or CallerConfig.improved()
-        self.pileup_config = pileup_config or PileupConfig()
-        self.filter_policy = filter_policy
-
-    # -- core loop -----------------------------------------------------------
 
     def call_columns(
         self,
         columns: Union[Iterable[PileupColumn], Iterable[ColumnBatch], ColumnBatch],
         region_length: int,
-        *,
-        apply_filters: bool = True,
     ) -> CallResult:
         """Run the workflow over pre-built pileup columns.
 
@@ -84,9 +59,11 @@ class VariantCaller:
                 re-sorted).
             region_length: Bonferroni scope -- the number of reference
                 positions this run is responsible for.
-            apply_filters: run the post-call filter stage (disable when
-                the pipeline driver will filter the merged set once,
-                the paper's OpenMP fix).
+
+        Returns the raw significance calls (every ``filter`` is
+        ``"PASS"``): the post-call filter is fitted to a complete call
+        set, so it runs once on the merged result in
+        :meth:`repro.pipeline.Pipeline.run`, not per unit.
 
         The engine is picked by ``config.engine``: ``"streaming"``
         walks the columns one allele at a time (batches are unpacked
@@ -153,108 +130,4 @@ class VariantCaller:
                     stats.time_stats += time.perf_counter() - t_col
         stats.time_total = time.perf_counter() - t0
         calls.sort(key=lambda c: (c.chrom, c.pos, c.alt))
-        result = CallResult(calls=calls, stats=stats)
-        if apply_filters:
-            result = self.finalise(result)
-        return result
-
-    def finalise(self, result: CallResult) -> CallResult:
-        """Apply the (single-stage) post-call filter to a result.
-
-        Returns a **new** :class:`CallResult` with re-labelled call
-        copies; ``result`` and its call list are left untouched, so
-        callers holding the pre-filter result keep an uncorrupted
-        view.  The run statistics object is shared, not copied.
-        """
-        if self.filter_policy is None:
-            return result
-        return CallResult(
-            calls=filter_once(result.calls, self.filter_policy),
-            stats=result.stats,
-        )
-
-    # -- substrate adapters (deprecated shims over repro.pipeline) -----------
-
-    def _effective_policy(self, apply_filters: bool):
-        """The filter policy to apply, or ``None`` when filtering is off."""
-        return self.filter_policy if apply_filters else None
-
-    def call_reads(
-        self,
-        reads: Iterable[AlignedRead],
-        reference: str,
-        region: Region,
-        *,
-        apply_filters: bool = True,
-    ) -> CallResult:
-        """Call over coordinate-sorted reads via the streaming pileup.
-
-        .. deprecated:: prefer ``Pipeline(ReadsSource(...)).run()``
-           (:mod:`repro.pipeline`); this shim remains equivalent.
-        """
-        from repro.pipeline import Pipeline, ReadsSource
-
-        source = ReadsSource(
-            reads, reference, region, pileup_config=self.pileup_config
-        )
-        return Pipeline(
-            source,
-            config=self.config,
-            filter_policy=self._effective_policy(apply_filters),
-        ).run()
-
-    def call_sample(
-        self,
-        sample,
-        region: Optional[Region] = None,
-        *,
-        apply_filters: bool = True,
-    ) -> CallResult:
-        """Call a :class:`~repro.sim.reads.SimulatedSample` via the
-        vectorised pileup (the benchmark fast path).
-
-        .. deprecated:: prefer ``Pipeline(SampleSource(...)).run()``
-           (:mod:`repro.pipeline`); this shim remains equivalent.
-        """
-        from repro.pipeline import Pipeline, SampleSource
-
-        source = SampleSource(
-            sample, region=region, pileup_config=self.pileup_config
-        )
-        return Pipeline(
-            source,
-            config=self.config,
-            filter_policy=self._effective_policy(apply_filters),
-        ).run()
-
-    def call_bam(
-        self,
-        bam_path,
-        reference,
-        region: Optional[Region] = None,
-        *,
-        apply_filters: bool = True,
-    ) -> CallResult:
-        """Call over a BAM file on disk.
-
-        ``reference`` is one sequence string (single-contig BAMs) or a
-        ``{name: sequence}`` mapping.  With ``region=None`` every
-        contig in the header is called (single-contig inputs behave
-        exactly as before).
-
-        .. deprecated:: prefer ``Pipeline(BamSource(...)).run()``
-           (:mod:`repro.pipeline`); this shim remains equivalent.
-        """
-        from repro.pipeline import BamSource, Pipeline
-
-        source = BamSource(
-            bam_path,
-            reference,
-            regions=[region] if region is not None else None,
-            pileup_config=self.pileup_config,
-        )
-        return Pipeline(
-            source,
-            config=self.config,
-            filter_policy=self._effective_policy(apply_filters),
-        ).run()
+        return CallResult(calls=calls, stats=stats)

@@ -16,9 +16,10 @@ This module makes the bug reproducible and the fix testable:
 
 * :class:`DynamicFilterPolicy.fit` derives thresholds from a call set;
 * :func:`apply_filters` marks calls against given thresholds;
-* the legacy parallel mode (:mod:`repro.parallel.legacy`) calls
-  fit+apply per partition and then again on the merged set, while the
-  OpenMP-style mode calls it exactly once on the full set.
+* :func:`filter_twice` is the legacy wrapper's fit+apply per partition
+  and then again on the merged set (``ExecutionPolicy(mode="legacy")``
+  in :mod:`repro.pipeline`), while :func:`filter_once` fits and
+  applies exactly once on the full set (every other mode).
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ def filter_twice(
 
     The output depends on how calls were partitioned -- the
     inconsistency reported in the variant-caller review the paper
-    cites.  Kept as an explicit function so tests and the
-    ``bench_filterbug`` harness can quantify the divergence.
+    cites.  The pipeline's ``"legacy"`` execution mode runs it on
+    per-partition raw calls, and tests and the ``bench_filterbug``
+    harness call it directly to quantify the divergence.
     """
     pol = policy or DynamicFilterPolicy()
     survivors: List[VariantCall] = []

@@ -48,7 +48,7 @@ import struct
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
 from repro.io.bam import BamReader, reg2bin
-from repro.io.index import Chunk
+from repro.io.index import Chunk, _read_exact
 
 __all__ = [
     "BAI_MAGIC",
@@ -338,28 +338,21 @@ class BaiIndex:
         Raises:
             ValueError: on bad magic or truncation.
         """
-
-        def need(n: int) -> bytes:
-            """Read exactly ``n`` bytes or fail loudly."""
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError("truncated BAI index")
-            return data
-
+        what = "BAI index"
         magic = fh.read(4)
         if magic != BAI_MAGIC:
             raise ValueError(f"not a BAI index (magic {magic!r})")
-        (n_ref,) = struct.unpack("<i", need(4))
+        (n_ref,) = struct.unpack("<i", _read_exact(fh, 4, what))
         if n_ref < 0:
             raise ValueError(f"negative reference count {n_ref}")
         references: List[BaiReference] = []
         for _ in range(n_ref):
             ref = BaiReference()
-            (n_bin,) = struct.unpack("<i", need(4))
+            (n_bin,) = struct.unpack("<i", _read_exact(fh, 4, what))
             for _ in range(n_bin):
-                bin_id, n_chunk = struct.unpack("<Ii", need(8))
+                bin_id, n_chunk = struct.unpack("<Ii", _read_exact(fh, 8, what))
                 chunks = [
-                    Chunk(*struct.unpack("<QQ", need(16)))
+                    Chunk(*struct.unpack("<QQ", _read_exact(fh, 16, what)))
                     for _ in range(n_chunk)
                 ]
                 if bin_id == PSEUDO_BIN:
@@ -376,9 +369,10 @@ class BaiIndex:
                     raise ValueError(f"bin id {bin_id} out of range")
                 else:
                     ref.bins[bin_id] = chunks
-            (n_intv,) = struct.unpack("<i", need(4))
+            (n_intv,) = struct.unpack("<i", _read_exact(fh, 4, what))
             ref.intervals = [
-                struct.unpack("<Q", need(8))[0] for _ in range(n_intv)
+                struct.unpack("<Q", _read_exact(fh, 8, what))[0]
+                for _ in range(n_intv)
             ]
             references.append(ref)
         trailer = fh.read(8)

@@ -1,19 +1,14 @@
 """The unified random-access API: one ``chunks_for`` for every index.
 
-Before this module, each index spoke its own dialect: the homegrown
-:class:`~repro.io.linear_index.LinearIndex` answered ``query(pos) ->
-virtual offset``, callers hard-coded the "scan until past the region"
-convention, and the real BAI binning scheme had nowhere to plug in.
-The :class:`RandomAccessIndex` protocol replaces all of that with a
-single question -- *which file ranges can hold records overlapping*
+The :class:`RandomAccessIndex` protocol asks every index one
+question -- *which file ranges can hold records overlapping*
 ``[start, end)`` *of this contig?* -- answered as a list of
 :class:`Chunk` virtual-offset ranges:
 
 * :class:`~repro.io.linear_index.LinearIndex` answers with one
   open-ended chunk starting at its checkpoint scan offset;
-* :class:`MultiContigIndex` (the per-contig linear multi-index, now a
-  first-class type instead of a bare dict) routes to the right
-  contig's linear index;
+* :class:`MultiContigIndex` (one linear index per contig) routes to
+  the right contig's linear index;
 * :class:`~repro.io.bai.BaiIndex` answers with the real binned seek
   plan -- several tight ranges instead of one suffix scan.
 
@@ -21,15 +16,16 @@ single question -- *which file ranges can hold records overlapping*
 uniformly; equivalence tests pin the three to byte-identical calls.
 
 Builders and the sidecar loader live here too:
-:func:`build_linear_index` (the implementation behind the deprecated
-``repro.io.linear_index.build_multi_index``), :func:`build_bai_index`
-and the magic-sniffing :func:`load_index`.
+:func:`build_linear_index` (the per-contig linear index, whose
+sidecar is ``RMI1``), :func:`build_bai_index` and the magic-sniffing
+:func:`load_index`.
 """
 
 from __future__ import annotations
 
 import struct
 from typing import (
+    BinaryIO,
     Dict,
     Iterator,
     List,
@@ -59,6 +55,19 @@ __all__ = [
 MAX_VOFFSET = (1 << 63) - 1
 
 _MULTI_MAGIC = b"RMI1"
+
+
+def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of a sidecar index from ``fh``.
+
+    Raises:
+        ValueError: ``"truncated <what>"`` when the file ends first, so
+            a short sidecar never surfaces as a ``struct.error``.
+    """
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated {what}")
+    return data
 
 
 class Chunk(NamedTuple):
@@ -101,10 +110,9 @@ class RandomAccessIndex(Protocol):
 class MultiContigIndex(Mapping):
     """One :class:`~repro.io.linear_index.LinearIndex` per contig.
 
-    The pipeline's historical "multi-index" was a bare ``dict``; this
-    wraps it as a :class:`RandomAccessIndex` while staying a read-only
+    A :class:`RandomAccessIndex` that is also a read-only
     :class:`~collections.abc.Mapping` (``index["chr1"]``,
-    ``index.get``, iteration) for existing callers.
+    ``index.get``, iteration) over the per-contig tables.
 
     Args:
         per_contig: ``{contig name: LinearIndex}``; contigs without
@@ -166,22 +174,33 @@ class MultiContigIndex(Mapping):
         """Load a sidecar written by :meth:`save`.
 
         Raises:
-            ValueError: if the file is not a multi-contig index.
+            ValueError: if the file is not a multi-contig index, is
+                truncated or has a negative count.
         """
+        what = f"linear index {path}"
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _MULTI_MAGIC:
                 raise ValueError(
                     f"not a multi-contig linear index (magic {magic!r})"
                 )
-            (n,) = struct.unpack("<i", fh.read(4))
+            (n,) = struct.unpack("<i", _read_exact(fh, 4, what))
+            if n < 0:
+                raise ValueError(f"negative contig count {n} in {what}")
             per_contig: Dict[str, LinearIndex] = {}
             for _ in range(n):
-                (name_len,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(name_len).decode("utf-8")
-                max_span, data_start, n_cp = struct.unpack("<qqq", fh.read(24))
+                (name_len,) = struct.unpack("<H", _read_exact(fh, 2, what))
+                name = _read_exact(fh, name_len, what).decode("utf-8")
+                max_span, data_start, n_cp = struct.unpack(
+                    "<qqq", _read_exact(fh, 24, what)
+                )
+                if n_cp < 0:
+                    raise ValueError(
+                        f"negative checkpoint count {n_cp} in {what}"
+                    )
                 cps = [
-                    struct.unpack("<qq", fh.read(16)) for _ in range(n_cp)
+                    struct.unpack("<qq", _read_exact(fh, 16, what))
+                    for _ in range(n_cp)
                 ]
                 per_contig[name] = LinearIndex(
                     checkpoints=cps,
@@ -194,9 +213,10 @@ class MultiContigIndex(Mapping):
 def build_linear_index(bam_path, granularity: int = 256) -> MultiContigIndex:
     """Scan a BAM once and build the per-contig linear multi-index.
 
-    The historical default index: every ``granularity``-th record per
-    contig contributes a ``(position, virtual offset)`` checkpoint,
-    queries answer with one open-ended suffix chunk.  For the real
+    :class:`~repro.pipeline.BamSource`'s default index: every
+    ``granularity``-th record per contig contributes a ``(position,
+    virtual offset)`` checkpoint, queries answer with one open-ended
+    suffix chunk.  For the real
     O(log) binned plan, build :func:`build_bai_index` instead.
 
     Args:
@@ -228,23 +248,21 @@ def build_bai_index(bam_path):
 def load_index(path, names: Optional[Sequence[str]] = None):
     """Load any sidecar index, sniffing the format from its magic.
 
-    Accepts the standard ``.bai`` (ours or an external tool's), the
-    multi-contig linear sidecar (``RMI1``) and the legacy
-    single-contig linear sidecar (``RLI1``).
+    Accepts the standard ``.bai`` (ours or an external tool's) and the
+    multi-contig linear sidecar (``RMI1``).
 
     Args:
         path: sidecar file.
         names: the BAM header's reference names.  Required to make a
             ``.bai`` queryable by contig name (the format stores ids
-            only) and to bind a legacy single-contig sidecar to its
-            contig; ignored for ``RMI1`` (which stores names).
+            only); ignored for ``RMI1`` (which stores names).
 
     Returns:
         A :class:`RandomAccessIndex`.
 
     Raises:
-        ValueError: on an unrecognised magic, or a ``.bai``/legacy
-            sidecar without ``names`` to bind to.
+        ValueError: on an unrecognised magic or a truncated or corrupt
+            file.
     """
     from repro.io.bai import BAI_MAGIC, BaiIndex
 
@@ -257,11 +275,4 @@ def load_index(path, names: Optional[Sequence[str]] = None):
         return index
     if magic == _MULTI_MAGIC:
         return MultiContigIndex.load(path)
-    if magic == b"RLI1":
-        if not names:
-            raise ValueError(
-                "single-contig linear index needs the BAM's reference "
-                "names to bind to a contig; pass names=[...]"
-            )
-        return MultiContigIndex({names[0]: LinearIndex.load(path)})
     raise ValueError(f"unrecognised index magic {magic!r} in {path}")

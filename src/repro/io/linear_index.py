@@ -12,28 +12,20 @@ in :mod:`repro.io.bai`; both answer the unified
 :class:`repro.io.index.RandomAccessIndex` protocol via
 :meth:`LinearIndex.chunks_for`.
 
-The sidecar file format is a small binary table (magic, granularity,
-max read span, then packed int64 triples).
-
-.. deprecated::
-    The module-level builders :func:`build_index` and
-    :func:`build_multi_index` are deprecation shims; use
-    :func:`repro.io.index.build_linear_index` (or
-    :func:`repro.io.index.build_bai_index` for the standard format).
+:func:`repro.io.index.build_linear_index` builds one
+:class:`LinearIndex` per contig (through :func:`_scan_linear`) and
+wraps them in a :class:`~repro.io.index.MultiContigIndex`, which also
+owns the ``RMI1`` sidecar format.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import struct
-import warnings
 from typing import Dict, List, Tuple
 
 from repro.io.bam import BamReader
 
-__all__ = ["LinearIndex", "build_index", "build_multi_index"]
-
-_MAGIC = b"RLI1"
+__all__ = ["LinearIndex"]
 
 
 @dataclasses.dataclass
@@ -92,84 +84,6 @@ class LinearIndex:
         """Protocol stub: a bare single-contig index is nameless."""
         return []
 
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the single-contig sidecar table (magic ``RLI1``)."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<qqq",
-                    self.max_read_span,
-                    self.data_start,
-                    len(self.checkpoints),
-                )
-            )
-            for pos, voffset in self.checkpoints:
-                fh.write(struct.pack("<qq", pos, voffset))
-
-    @classmethod
-    def load(cls, path) -> "LinearIndex":
-        """Load a sidecar index.
-
-        Raises:
-            ValueError: if the file is not a linear index.
-        """
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise ValueError(f"not a linear index (magic {magic!r})")
-            max_span, data_start, n = struct.unpack("<qqq", fh.read(24))
-            cps = []
-            for _ in range(n):
-                cps.append(struct.unpack("<qq", fh.read(16)))
-        return cls(
-            checkpoints=cps, max_read_span=max_span, data_start=data_start
-        )
-
-
-def build_index(bam_path, granularity: int = 256) -> LinearIndex:
-    """Scan a BAM once and build its flat (single-contig) linear index.
-
-    .. deprecated::
-        Shim kept for compatibility; use
-        :func:`repro.io.index.build_linear_index` (multi-contig, the
-        unified :class:`~repro.io.index.RandomAccessIndex` API) or
-        :func:`repro.io.index.build_bai_index`.  Output is identical
-        to the historical implementation.
-
-    Args:
-        bam_path: coordinate-sorted BAM file whose records all sit on
-            one contig.
-        granularity: records between checkpoints (smaller = bigger
-            index, finer seeks).
-
-    Raises:
-        ValueError: if the BAM is not coordinate-sorted, or its records
-            span more than one contig (use
-            :func:`repro.io.index.build_linear_index`).
-    """
-    warnings.warn(
-        "build_index is deprecated; use repro.io.index.build_linear_index "
-        "(or build_bai_index for the standard binning scheme)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    indexes = _scan_linear(bam_path, granularity)
-    if len(indexes) > 1:
-        raise ValueError(
-            f"BAM has records on {len(indexes)} contigs "
-            f"({sorted(indexes)}); use build_multi_index"
-        )
-    if indexes:
-        (index,) = indexes.values()
-        return index
-    with BamReader(bam_path) as reader:
-        return LinearIndex(
-            checkpoints=[], max_read_span=1, data_start=reader.tell()
-        )
-
 
 class _ContigIndexBuilder:
     __slots__ = ("checkpoints", "max_span", "n_records", "data_start")
@@ -181,40 +95,9 @@ class _ContigIndexBuilder:
         self.data_start = data_start
 
 
-def build_multi_index(
-    bam_path, granularity: int = 256
-) -> Dict[str, LinearIndex]:
-    """Scan a BAM once and build one linear index per contig.
-
-    .. deprecated::
-        Shim kept for compatibility (returns the historical plain
-        ``dict``); use :func:`repro.io.index.build_linear_index`,
-        which returns the same tables wrapped as a
-        :class:`~repro.io.index.MultiContigIndex` speaking the
-        unified ``chunks_for`` protocol.
-
-    Args:
-        bam_path: coordinate-sorted BAM file.
-        granularity: records between checkpoints, per contig.
-
-    Raises:
-        ValueError: if the BAM is not coordinate-sorted (positions
-            decreasing within a contig, or contigs out of header
-            order), or a record references a name not in the header.
-    """
-    warnings.warn(
-        "build_multi_index is deprecated; use "
-        "repro.io.index.build_linear_index (or build_bai_index for the "
-        "standard binning scheme)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _scan_linear(bam_path, granularity)
-
-
 def _scan_linear(bam_path, granularity: int = 256) -> Dict[str, LinearIndex]:
-    """The single-scan implementation behind every linear-index
-    builder: one :class:`LinearIndex` per contig with records.
+    """Scan a BAM once: one :class:`LinearIndex` per contig with
+    records (the body of :func:`repro.io.index.build_linear_index`).
 
     A coordinate-sorted multi-contig BAM restarts positions at every
     contig, so a single flat checkpoint table cannot cover it; instead
@@ -223,7 +106,10 @@ def _scan_linear(bam_path, granularity: int = 256) -> Dict[str, LinearIndex]:
     no records are simply absent from the result.
 
     Raises:
-        ValueError: see :func:`build_multi_index`.
+        ValueError: if ``granularity`` is not positive, the BAM is not
+            coordinate-sorted (positions decreasing within a contig,
+            or contigs out of header order), or a record references a
+            name not in the header.
     """
     if granularity <= 0:
         raise ValueError(f"granularity must be positive, got {granularity}")

@@ -1,4 +1,4 @@
-"""Parallel execution of the caller (the paper's Section II-B).
+"""Parallel execution building blocks (the paper's Section II-B).
 
 The original LoFreq parallelised through an external wrapper script
 (``lofreq2_call_pparallel.py``) that split the input, spawned an
@@ -8,19 +8,18 @@ the inconsistency bug the paper fixes.  The paper's experimental
 branch replaces this with an OpenMP parallel-for over column chunks
 with dynamic scheduling and one BAM reader per thread.
 
+Both organisations live in :mod:`repro.pipeline.engine`: an
+:class:`~repro.pipeline.ExecutionPolicy` picks the serial, thread or
+process parallel-for (one final filter) or the ``"legacy"`` wrapper
+model (double filter).  This package holds what they are built from:
+
 * :mod:`repro.parallel.partition` -- genome chunking.
 * :mod:`repro.parallel.scheduler` -- static / dynamic / guided chunk
   schedulers (OpenMP's three classic ``schedule()`` kinds).
-* :mod:`repro.parallel.openmp` -- the shared-memory parallel-for
-  driver with per-worker readers and single-stage final filtering.
-* :mod:`repro.parallel.legacy` -- a faithful model of the wrapper
-  script, double filtering included.
 * :mod:`repro.parallel.trace` -- per-worker event tracing and the
   ASCII timeline renderer behind the Figure 2 reproduction.
 """
 
-from repro.parallel.legacy import legacy_call_bam, legacy_parallel_call
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
 from repro.parallel.partition import chunk_region, partition_region
 from repro.parallel.scheduler import (
     DynamicScheduler,
@@ -34,14 +33,10 @@ __all__ = [
     "Category",
     "DynamicScheduler",
     "GuidedScheduler",
-    "ParallelCallOptions",
     "StaticScheduler",
     "TraceEvent",
     "Tracer",
     "chunk_region",
-    "legacy_call_bam",
-    "legacy_parallel_call",
     "make_scheduler",
-    "parallel_call",
     "partition_region",
 ]

@@ -71,6 +71,8 @@ class DynamicScheduler:
         self._lock = threading.Lock()
 
     def next(self, worker: int) -> Optional[T]:
+        """The next unclaimed item for whichever worker asks first, or
+        ``None`` when the queue is empty."""
         with self._lock:
             if self._cursor >= len(self._items):
                 return None
@@ -110,6 +112,8 @@ class GuidedScheduler:
         self._lock = threading.Lock()
 
     def next(self, worker: int) -> Optional[List[T]]:
+        """The next span of consecutive items, shrinking as the list
+        drains, or ``None`` when none are left."""
         with self._lock:
             remaining = len(self._items) - self._cursor
             if remaining <= 0:

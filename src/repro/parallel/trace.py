@@ -58,6 +58,7 @@ class TraceEvent:
 
     @property
     def duration(self) -> float:
+        """Seconds between ``start`` and ``end``."""
         return self.end - self.start
 
 
@@ -84,10 +85,13 @@ class Tracer:
             self._events.append(TraceEvent(worker, category, start, end))
 
     def span(self, worker: int, category: Category) -> "_Span":
+        """A context manager that records its body's interval as one
+        ``category`` event of ``worker``."""
         return _Span(self, worker, category)
 
     @property
     def events(self) -> List[TraceEvent]:
+        """A snapshot copy of the events recorded so far."""
         with self._lock:
             return list(self._events)
 

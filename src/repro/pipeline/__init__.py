@@ -22,10 +22,9 @@ One entry point::
         source, sinks=[VcfSink("calls.vcf", contigs=source.contigs)]
     ).run()
 
-The pre-pipeline surfaces -- :meth:`VariantCaller.call_reads` /
-``call_sample`` / ``call_bam`` and
-:func:`repro.parallel.openmp.parallel_call` -- remain as thin,
-equivalence-tested adapters over this package.
+This is the only way to call variants: a BAM, a read stream, a
+simulated sample and pre-built columns each have a source, and
+parallel and legacy runs are an :class:`ExecutionPolicy`.
 """
 
 from repro.pipeline.engine import ExecutionPolicy, Pipeline

@@ -8,7 +8,7 @@ with an :class:`ExecutionPolicy` and a set of
   ``chunk_columns`` is set;
 * workers evaluate chunks through
   :meth:`~repro.core.caller.VariantCaller.call_columns` (streaming or
-  batched engine, per ``config.engine``) with ``apply_filters=False``;
+  batched engine, per ``config.engine``), which returns raw calls;
   under the batched engine, sources that speak columnar hand the
   worker structure-of-arrays
   :class:`~repro.pileup.column.ColumnBatch` units via ``batches_for``
@@ -16,17 +16,13 @@ with an :class:`ExecutionPolicy` and a set of
 * the dynamic post-filter runs exactly **once** on the merged calls --
   the paper's fix for the legacy wrapper's double-filtering bug --
   except in the deliberate ``"legacy"`` demonstration mode, which
-  reproduces the bug faithfully (fit+apply per partition, then again
-  on the merge);
+  reproduces the bug faithfully through
+  :func:`repro.core.filters.filter_twice` (fit+apply per partition,
+  then again on the merge);
 * the Bonferroni scope is the *total* length of all regions, so a
   multi-contig run corrects genome-wide exactly like a single-contig
   run corrects over its one contig;
 * final calls stream through the sinks one at a time.
-
-The thread / process / serial workers and the trace bookkeeping here
-were lifted from ``repro.parallel.openmp``;
-:func:`repro.parallel.openmp.parallel_call` is now a thin adapter over
-this module.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
-from repro.core.filters import DynamicFilterPolicy, apply_filters, filter_once
+from repro.core.filters import DynamicFilterPolicy, filter_once, filter_twice
 from repro.core.results import IO_COUNTERS, CallResult, RunStats, VariantCall
 from repro.io.regions import Region
 from repro.parallel.partition import chunk_region, partition_region
@@ -64,7 +60,7 @@ class ExecutionPolicy:
         n_workers: worker count (threads / processes; partition count
             in legacy mode).
         chunk_columns: columns per scheduling chunk; ``None`` processes
-            each region as a single unit (the serial shims' mode).
+            each region as a single unit (the default serial mode).
         schedule: ``"static"`` / ``"dynamic"`` / ``"guided"``.
     """
 
@@ -139,12 +135,12 @@ def _evaluate_chunk(
     )
     if not is_batch_stream:
         with tracer.span(worker, Category.PROB):
-            result = caller.call_columns(units, scope, apply_filters=False)
+            result = caller.call_columns(units, scope)
         merged.merge(result)
         return
     for batch in units:
         with tracer.span(worker, Category.PROB):
-            result = caller.call_columns(batch, scope, apply_filters=False)
+            result = caller.call_columns(batch, scope)
         merged.merge(result)
 
 
@@ -305,7 +301,7 @@ class Pipeline:
     def _execute(
         self, regions: Sequence[Region], scope: int, tracer: Tracer
     ) -> CallResult:
-        caller = VariantCaller(self.config, filter_policy=None)
+        caller = VariantCaller(self.config)
         chunks = self._chunks(regions)
         mode = self.policy.mode
         if mode == "serial":
@@ -391,26 +387,25 @@ class Pipeline:
         """The wrapper-script pipeline, double filtering included.
 
         Each partition is Bonferroni-corrected over *its own* length
-        and filtered with thresholds fitted to its own calls; the
-        merged survivors are then filtered again.  Output depends on
-        the partitioning -- the bug, reproduced on purpose.
+        (LoFreq run on a slice has no idea how big the whole genome
+        is); :func:`~repro.core.filters.filter_twice` then filters
+        each partition's calls with thresholds fitted to them and the
+        merged survivors again.  Output depends on the partitioning
+        -- the bug, reproduced on purpose.
         """
-        policy = self.filter_policy or DynamicFilterPolicy()
+        caller = VariantCaller(self.config)
         merged_stats = RunStats()
-        survivors: List[VariantCall] = []
+        partitions: List[List[VariantCall]] = []
         for region in regions:
             for part in partition_region(region, self.policy.n_workers):
-                caller = VariantCaller(self.config, filter_policy=None)
                 columns = self.source.columns_for(part, tracer, 0)
-                result = caller.call_columns(
-                    columns, len(part), apply_filters=False
-                )
+                result = caller.call_columns(columns, len(part))
                 merged_stats.merge(result.stats)
-                filtered = apply_filters(result.calls, policy.fit(result.calls))
-                survivors.extend(c for c in filtered if c.filter == "PASS")
-        survivors.sort(key=lambda c: (c.chrom, c.pos, c.alt))
-        final = apply_filters(survivors, policy.fit(survivors))
-        return CallResult(calls=final, stats=merged_stats)
+                partitions.append(result.calls)
+        return CallResult(
+            calls=filter_twice(partitions, self.filter_policy),
+            stats=merged_stats,
+        )
 
 
 # -- process backend fork state ------------------------------------------------

@@ -195,8 +195,8 @@ class ReadsSource:
         reads: alignments sorted by position.  A list/tuple supports
             any execution mode; a one-shot iterator streams lazily but
             supports only a single ``columns_for`` pass (serial,
-            unchunked execution -- the :meth:`VariantCaller.call_reads`
-            shim's mode).
+            unchunked execution -- the default
+            :class:`~repro.pipeline.ExecutionPolicy`).
         reference: reference sequence for ``region.chrom``.
         region: scope of the calling run.
         pileup_config: pileup filtering parameters.
@@ -389,8 +389,8 @@ class BamSource:
         regions: explicit regions to call; default is one region per
             header reference -- except with a plain-string reference on
             a multi-contig BAM, where the default falls back to the
-            first reference only (the legacy ``call_bam`` scope, since
-            one string cannot cover several contigs).
+            first reference only (one string cannot cover several
+            contigs).
         pileup_config: pileup filtering parameters.
         batch_columns: cap on the columns per emitted
             :class:`~repro.pileup.column.ColumnBatch` work unit: a
@@ -420,11 +420,6 @@ class BamSource:
             on more than one contig, or ``batch_columns`` /
             ``cache_blocks`` is not positive.
     """
-
-    #: Default per-work-unit column cap (the module-wide
-    #: :data:`DEFAULT_BATCH_COLUMNS`; kept as a class attribute for
-    #: backward compatibility).
-    DEFAULT_BATCH_COLUMNS = DEFAULT_BATCH_COLUMNS
 
     #: Default decompressed-block LRU capacity per worker reader.
     DEFAULT_CACHE_BLOCKS = 32
@@ -471,9 +466,8 @@ class BamSource:
         if regions is None:
             if isinstance(reference, str) and len(self.contigs) > 1:
                 # A single sequence string cannot describe more than
-                # one contig, so fall back to the legacy first-reference
-                # scope (the pre-pipeline call_bam/parallel_call
-                # behaviour) instead of failing.
+                # one contig, so fall back to the first-reference
+                # scope instead of failing.
                 name, length = self.contigs[0]
                 self._regions = [Region(name, 0, length)]
             else:

@@ -37,7 +37,6 @@ from repro.core.results import CallResult
 from repro.io.regions import Region, parse_region
 from repro.serve.cache import CachedResult
 from repro.serve.models import (
-    ALL_REGIONS,
     CallRequest,
     FileFingerprint,
     ResultKey,

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis.accuracy import frequency_band_recall, score_calls
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.core.results import VariantCall
+from repro.pipeline import Pipeline, SampleSource
 from repro.sim.haplotypes import VariantPanel, VariantSpec
 
 
@@ -96,7 +96,7 @@ class TestFrequencyBands:
 
 class TestEndToEndAccuracy:
     def test_caller_scores_well_on_its_regime(self, sample, panel):
-        result = VariantCaller(CallerConfig.improved()).call_sample(sample)
+        result = Pipeline(SampleSource(sample), config=CallerConfig.improved()).run()
         report = score_calls(result.calls, panel)
         assert report.recall == 1.0
         assert report.precision == 1.0
@@ -111,10 +111,12 @@ class TestEndToEndAccuracy:
             genome.sequence, 12, freq_range=(0.004, 0.02), seed=31
         )
         sim = ReadSimulator(genome, panel, read_length=80)
-        caller = VariantCaller(CallerConfig.improved())
         recalls = []
         for depth in (100, 600, 3000):
-            result = caller.call_sample(sim.simulate(depth, seed=32))
+            result = Pipeline(
+                SampleSource(sim.simulate(depth, seed=32)),
+                config=CallerConfig.improved(),
+            ).run()
             recalls.append(score_calls(result.calls, panel).recall)
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[2] > recalls[0]

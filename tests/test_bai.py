@@ -491,38 +491,38 @@ class TestMultiContigIndexPersistence:
         assert isinstance(index, MultiContigIndex)
         assert index.contigs() == ["ctgA", "ctgB"]
 
-    def test_load_index_sniffs_legacy_linear(self, two_contig):
-        index = build_linear_index(two_contig["bam"])
-        path = two_contig["root"] / "sniff.rli"
-        index["ctgA"].save(path)
-        wrapped = load_index(path, names=["ctgA", "ctgB"])
-        assert wrapped.contigs() == ["ctgA"]
-        with pytest.raises(ValueError, match="names"):
-            load_index(path)
-
     def test_load_index_unknown_magic(self, two_contig):
         path = two_contig["root"] / "garbage.idx"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
+        # RLI1 is the retired single-contig linear sidecar.
+        for magic in (b"NOPE", b"RLI1"):
+            path.write_bytes(magic + b"\x00" * 16)
+            with pytest.raises(ValueError, match="magic"):
+                load_index(path)
+
+    def test_load_index_rejects_truncated_multi(self, two_contig):
+        """Every proper prefix of a valid sidecar is a typed error,
+        never a ``struct.error`` from a short read."""
+        full = two_contig["root"] / "whole.rmi"
+        build_linear_index(two_contig["bam"]).save(full)
+        data = full.read_bytes()
+        path = two_contig["root"] / "cut.rmi"
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                load_index(path)
+
+    def test_load_index_rejects_negative_counts(self, two_contig):
+        """A negative contig or checkpoint count is corruption, not an
+        empty index that would silently plan no records."""
+        path = two_contig["root"] / "negative.rmi"
+        path.write_bytes(b"RMI1" + struct.pack("<i", -1))
+        with pytest.raises(ValueError, match="negative contig count"):
+            load_index(path)
+        name = b"ctgA"
+        path.write_bytes(
+            b"RMI1" + struct.pack("<iH", 1, len(name)) + name
+            + struct.pack("<qqq", 70, 0, -1)
+        )
+        with pytest.raises(ValueError, match="negative checkpoint count"):
             load_index(path)
 
-
-class TestDeprecationShims:
-    def test_build_multi_index_warns_and_matches(self, two_contig):
-        from repro.io.linear_index import build_multi_index
-
-        with pytest.warns(DeprecationWarning, match="build_multi_index"):
-            old = build_multi_index(two_contig["bam"])
-        new = build_linear_index(two_contig["bam"])
-        assert isinstance(old, dict)  # byte-identical legacy return type
-        assert set(old) == set(new)
-        for name in old:
-            assert old[name].checkpoints == new[name].checkpoints
-            assert old[name].data_start == new[name].data_start
-
-    def test_build_index_warns(self, two_contig):
-        from repro.io.linear_index import build_index
-
-        with pytest.warns(DeprecationWarning, match="build_index"):
-            with pytest.raises(ValueError, match="contigs"):
-                build_index(two_contig["bam"])  # two contigs -> error

@@ -609,6 +609,22 @@ class TestCallIndexAndCache:
         assert rc == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_call_with_truncated_index_errors(self, workspace, tmp_path, capsys):
+        bam = workspace / "sample.bam"
+        cut = tmp_path / "trunc.rmi"
+        main(["index", str(bam), "--format", "linear", "--out", str(cut)])
+        cut.write_bytes(cut.read_bytes()[:-7])
+        capsys.readouterr()
+        rc = main(
+            ["call", str(bam),
+             "--reference", str(workspace / "ref.fa"),
+             "--out", str(tmp_path / "x.vcf"),
+             "--index", str(cut)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
     def test_cache_blocks_threads_through(self, workspace):
         out = workspace / "calls_cached.vcf"
         rc = main(

@@ -19,11 +19,7 @@ from repro.io.records import AlignedRead
 from repro.io.regions import Region
 from repro.pileup.column import ColumnBatch, PileupColumn, encode_read_bases
 from repro.pileup.engine import PileupConfig, pileup, pileup_batches
-from repro.pileup.vectorized import (
-    pileup_batch_from_arrays,
-    pileup_batch_from_reads,
-    pileup_sample_batch,
-)
+from repro.pileup.vectorized import pileup_batch_from_reads, pileup_sample_batch
 from repro.sim.genome import random_genome
 from repro.sim.haplotypes import random_panel
 from repro.sim.reads import ReadSimulator

@@ -3,29 +3,33 @@ headline equivalence claim."""
 
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.io.regions import Region
+from repro.pipeline import BamSource, Pipeline, ReadsSource, SampleSource
 
 
 class TestRecovery:
     def test_recovers_panel_at_depth(self, sample, panel):
-        result = VariantCaller(CallerConfig.improved()).call_sample(sample)
+        result = Pipeline(SampleSource(sample), config=CallerConfig.improved()).run()
         called = {(c.pos, c.ref, c.alt) for c in result.passed}
         truth = {(v.pos, v.ref, v.alt) for v in panel}
         # 5-20% variants at 200x: all recoverable.
         assert truth <= called
 
     def test_no_false_positives_on_null(self, null_sample):
-        result = VariantCaller(CallerConfig.improved()).call_sample(null_sample)
+        result = Pipeline(
+            SampleSource(null_sample), config=CallerConfig.improved()
+        ).run()
         assert result.passed == []
 
     def test_original_no_false_positives_on_null(self, null_sample):
-        result = VariantCaller(CallerConfig.original()).call_sample(null_sample)
+        result = Pipeline(
+            SampleSource(null_sample), config=CallerConfig.original()
+        ).run()
         assert result.passed == []
 
     def test_call_fields_consistent(self, sample):
-        result = VariantCaller().call_sample(sample)
+        result = Pipeline(SampleSource(sample)).run()
         for call in result.passed:
             assert 0 < call.alt_count <= call.depth
             assert call.af == pytest.approx(call.alt_count / call.depth)
@@ -35,7 +39,7 @@ class TestRecovery:
             assert call.quality > 0
 
     def test_calls_sorted_by_position(self, sample):
-        result = VariantCaller().call_sample(sample)
+        result = Pipeline(SampleSource(sample)).run()
         positions = [c.pos for c in result.calls]
         assert positions == sorted(positions)
 
@@ -45,20 +49,28 @@ class TestEquivalenceClaim:
     versions' -- here strengthened to identical call *sets*."""
 
     def test_identical_at_200x(self, sample):
-        improved = VariantCaller(CallerConfig.improved()).call_sample(sample)
-        original = VariantCaller(CallerConfig.original()).call_sample(sample)
+        improved = Pipeline(SampleSource(sample), config=CallerConfig.improved()).run()
+        original = Pipeline(SampleSource(sample), config=CallerConfig.original()).run()
         assert improved.keys() == original.keys()
 
     def test_identical_at_1500x(self, deep_sample):
-        improved = VariantCaller(CallerConfig.improved()).call_sample(deep_sample)
-        original = VariantCaller(CallerConfig.original()).call_sample(deep_sample)
+        improved = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.improved()
+        ).run()
+        original = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.original()
+        ).run()
         assert improved.keys() == original.keys()
         # And the approximation must actually have fired at this depth.
         assert improved.stats.exact_skipped > 0
 
     def test_improved_does_less_dp_work(self, deep_sample):
-        improved = VariantCaller(CallerConfig.improved()).call_sample(deep_sample)
-        original = VariantCaller(CallerConfig.original()).call_sample(deep_sample)
+        improved = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.improved()
+        ).run()
+        original = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.original()
+        ).run()
         # Most allele tests are resolved without invoking the DP at
         # all (the called columns still run it in full, in both modes).
         assert improved.stats.dp_invocations < original.stats.dp_invocations / 5
@@ -67,10 +79,13 @@ class TestEquivalenceClaim:
     def test_zero_margin_still_subset(self, deep_sample):
         """Even with margin 0 (no safety margin at all) the improved
         caller can only lose calls, never gain."""
-        aggressive = VariantCaller(
-            CallerConfig.improved(approx_margin=0.0)
-        ).call_sample(deep_sample)
-        original = VariantCaller(CallerConfig.original()).call_sample(deep_sample)
+        aggressive = Pipeline(
+            SampleSource(deep_sample),
+            config=CallerConfig.improved(approx_margin=0.0),
+        ).run()
+        original = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.original()
+        ).run()
         assert aggressive.keys() <= original.keys()
 
 
@@ -78,26 +93,24 @@ class TestSubstrates:
     """The same sample through every input path gives the same calls."""
 
     def test_reads_path_matches_sample_path(self, sample, genome, whole_region):
-        caller = VariantCaller()
-        via_sample = caller.call_sample(sample)
-        via_reads = caller.call_reads(
-            sample.reads(), genome.sequence, whole_region
-        )
+        via_sample = Pipeline(SampleSource(sample)).run()
+        via_reads = Pipeline(
+            ReadsSource(sample.reads(), genome.sequence, whole_region)
+        ).run()
         assert via_sample.keys() == via_reads.keys()
 
     def test_bam_path_matches_sample_path(self, sample, genome, tmp_path):
-        caller = VariantCaller()
         bam = tmp_path / "sample.bam"
         sample.write_bam(bam)
-        via_sample = caller.call_sample(sample)
-        via_bam = caller.call_bam(bam, genome.sequence)
+        via_sample = Pipeline(SampleSource(sample)).run()
+        via_bam = Pipeline(BamSource(bam, genome.sequence)).run()
         assert via_sample.keys() == via_bam.keys()
 
     def test_region_restriction(self, sample, genome, panel):
         positions = sorted(v.pos for v in panel)
         mid = positions[len(positions) // 2]
         region = Region(genome.name, 0, mid)
-        result = VariantCaller().call_sample(sample, region=region)
+        result = Pipeline(SampleSource(sample, region=region)).run()
         assert all(c.pos < mid for c in result.passed)
         truth_in_region = {
             (v.pos, v.ref, v.alt) for v in panel if v.pos < mid
@@ -108,8 +121,8 @@ class TestSubstrates:
         """Smaller regions mean fewer tests -> looser threshold; the
         caller must use the region length, not the genome length."""
         region = Region(genome.name, 0, 100)
-        caller = VariantCaller(CallerConfig(bonferroni=None))
-        assert caller.config.corrected_alpha(len(region)) == pytest.approx(
+        config = CallerConfig(bonferroni=None)
+        assert config.corrected_alpha(len(region)) == pytest.approx(
             0.05 / 300
         )
 
@@ -118,40 +131,14 @@ class TestFilters:
     def test_filter_stage_annotates(self, sample):
         from repro.core.filters import DynamicFilterPolicy
 
-        caller = VariantCaller(
-            filter_policy=DynamicFilterPolicy(min_depth=10_000)
-        )
-        result = caller.call_sample(sample)
+        result = Pipeline(
+            SampleSource(sample),
+            filter_policy=DynamicFilterPolicy(min_depth=10_000),
+        ).run()
         # Everything fails min_dp at 200x.
         assert result.passed == []
         assert all("min_dp" in c.filter for c in result.calls)
 
     def test_no_filter_policy(self, sample):
-        caller = VariantCaller(filter_policy=None)
-        result = caller.call_sample(sample)
+        result = Pipeline(SampleSource(sample), filter_policy=None).run()
         assert all(c.filter == "PASS" for c in result.calls)
-
-    def test_finalise_does_not_mutate_input(self, sample):
-        """Regression: finalise used to overwrite CallResult.calls in
-        place, silently corrupting callers holding the raw result."""
-        from repro.core.filters import DynamicFilterPolicy
-
-        caller = VariantCaller(
-            filter_policy=DynamicFilterPolicy(min_depth=10_000)
-        )
-        raw = caller.call_sample(sample, apply_filters=False)
-        before = list(raw.calls)
-        filtered = caller.finalise(raw)
-        assert filtered is not raw
-        assert filtered.calls is not raw.calls
-        assert raw.calls == before
-        assert all(c.filter == "PASS" for c in raw.calls)
-        # The filtered copy carries the new labels (everything fails
-        # min_dp at 200x) while sharing the stats object.
-        assert all("min_dp" in c.filter for c in filtered.calls)
-        assert filtered.stats is raw.stats
-
-    def test_finalise_without_policy_is_identity(self, sample):
-        caller = VariantCaller(filter_policy=None)
-        raw = caller.call_sample(sample, apply_filters=False)
-        assert caller.finalise(raw) is raw

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core import CallerConfig, VariantCaller
 from repro.io.vcf import write_vcf
-from repro.parallel import ParallelCallOptions, parallel_call
 from repro.pileup.engine import PileupConfig
+from repro.pipeline import ExecutionPolicy, Pipeline, SampleSource
 from repro.sim.genome import random_genome, sars_cov_2_like
 from repro.sim.haplotypes import VariantPanel, random_panel
 from repro.sim.reads import ReadSimulator
@@ -76,12 +76,14 @@ def assert_equivalent(streaming, batched):
 
 @pytest.mark.parametrize("use_approximation", [True, False])
 def test_engines_identical(dataset, use_approximation):
-    streaming = VariantCaller(
-        CallerConfig(use_approximation=use_approximation)
-    ).call_sample(dataset)
-    batched = VariantCaller(
-        CallerConfig(use_approximation=use_approximation, engine="batched")
-    ).call_sample(dataset)
+    streaming = Pipeline(
+        SampleSource(dataset),
+        config=CallerConfig(use_approximation=use_approximation),
+    ).run()
+    batched = Pipeline(
+        SampleSource(dataset),
+        config=CallerConfig(use_approximation=use_approximation, engine="batched"),
+    ).run()
     assert_equivalent(streaming, batched)
 
 
@@ -90,16 +92,18 @@ def test_engines_identical_merge_mapq(dataset, use_approximation):
     """The merged (base x mapping) quality model runs columnar in the
     batched engine (no per-column fallback since PR 4); its calls and
     censuses must still match the streaming engine byte-for-byte."""
-    streaming = VariantCaller(
-        CallerConfig(use_approximation=use_approximation, merge_mapq=True)
-    ).call_sample(dataset)
-    batched = VariantCaller(
-        CallerConfig(
+    streaming = Pipeline(
+        SampleSource(dataset),
+        config=CallerConfig(use_approximation=use_approximation, merge_mapq=True),
+    ).run()
+    batched = Pipeline(
+        SampleSource(dataset),
+        config=CallerConfig(
             use_approximation=use_approximation,
             merge_mapq=True,
             engine="batched",
-        )
-    ).call_sample(dataset)
+        ),
+    ).run()
     assert_equivalent(streaming, batched)
 
 
@@ -109,14 +113,14 @@ def test_engines_identical_at_depth_cap(dataset, use_approximation):
     consume the capped columns identically (n_capped is a pileup
     property, so calls and censuses still match exactly)."""
     pileup_config = PileupConfig(max_depth=40)
-    streaming = VariantCaller(
-        CallerConfig(use_approximation=use_approximation),
-        pileup_config=pileup_config,
-    ).call_sample(dataset)
-    batched = VariantCaller(
-        CallerConfig(use_approximation=use_approximation, engine="batched"),
-        pileup_config=pileup_config,
-    ).call_sample(dataset)
+    streaming = Pipeline(
+        SampleSource(dataset, pileup_config=pileup_config),
+        config=CallerConfig(use_approximation=use_approximation),
+    ).run()
+    batched = Pipeline(
+        SampleSource(dataset, pileup_config=pileup_config),
+        config=CallerConfig(use_approximation=use_approximation, engine="batched"),
+    ).run()
     assert_equivalent(streaming, batched)
     # The cap genuinely engaged somewhere on every dataset (all are
     # deeper than 40x on average), so this is not a vacuous check.
@@ -130,9 +134,9 @@ def test_engines_identical_at_depth_cap(dataset, use_approximation):
 def test_vcf_bytes_identical(tmp_path, dataset):
     paths = {}
     for engine in ("streaming", "batched"):
-        result = VariantCaller(
-            CallerConfig(engine=engine)
-        ).call_sample(dataset)
+        result = Pipeline(
+            SampleSource(dataset), config=CallerConfig(engine=engine)
+        ).run()
         path = tmp_path / f"{engine}.vcf"
         write_vcf(
             path,
@@ -149,14 +153,11 @@ def test_batched_engine_under_parallel_driver():
     dataset = _dataset("deep")
     results = {}
     for engine in ("streaming", "batched"):
-        results[engine] = parallel_call(
-            dataset,
-            dataset.genome.sequence,
+        results[engine] = Pipeline(
+            SampleSource(dataset),
             config=CallerConfig(engine=engine),
-            options=ParallelCallOptions(
-                n_workers=2, chunk_columns=128, backend="thread"
-            ),
-        )
+            policy=ExecutionPolicy(mode="thread", n_workers=2, chunk_columns=128),
+        ).run()
     assert_equivalent(results["streaming"], results["batched"])
 
 
@@ -191,9 +192,9 @@ def test_batched_skips_most_tests_when_deep():
     """Sanity: on the deep dataset the screening pass does the bulk of
     the work (the paper's whole point), so the equivalence above is
     exercising the vectorised skip path, not an empty batch."""
-    result = VariantCaller(
-        CallerConfig(engine="batched")
-    ).call_sample(_dataset("deep"))
+    result = Pipeline(
+        SampleSource(_dataset("deep")), config=CallerConfig(engine="batched")
+    ).run()
     assert result.stats.skip_fraction() > 0.5
     assert result.stats.exact_skipped > 100
 
@@ -220,7 +221,7 @@ def test_batched_engine_over_bam_pipeline(tmp_path):
     """The BAM columnar deposit path (BamSource.batches_for) must
     yield byte-identical calls and censuses to the streaming engine
     over the same file."""
-    from repro.pipeline import BamSource, Pipeline
+    from repro.pipeline import BamSource
 
     dataset = _dataset("deep")
     bam = tmp_path / "deep.bam"
@@ -241,14 +242,11 @@ def test_batched_engine_under_parallel_driver_with_batches():
     dataset = _dataset("deep")
     results = {}
     for engine in ("streaming", "batched"):
-        results[engine] = parallel_call(
-            dataset,
-            dataset.genome.sequence,
+        results[engine] = Pipeline(
+            SampleSource(dataset),
             config=CallerConfig(engine=engine),
-            options=ParallelCallOptions(
-                n_workers=3, chunk_columns=97, backend="thread"
-            ),
-        )
+            policy=ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=97),
+        ).run()
     assert_equivalent(results["streaming"], results["batched"])
 
 
@@ -312,14 +310,15 @@ def test_batched_engine_zero_pileup_columns_end_to_end(
     survivors, emitted calls, ``merge_mapq`` included -- while staying
     byte-identical to the streaming engine."""
     dataset = _dataset("deep")  # has survivors and emitted calls
-    streaming = VariantCaller(
-        CallerConfig(merge_mapq=merge_mapq)
-    ).call_sample(dataset)
+    streaming = Pipeline(
+        SampleSource(dataset), config=CallerConfig(merge_mapq=merge_mapq)
+    ).run()
 
     census = _ColumnCensus(monkeypatch)
-    batched = VariantCaller(
-        CallerConfig(merge_mapq=merge_mapq, engine="batched")
-    ).call_sample(dataset)
+    batched = Pipeline(
+        SampleSource(dataset),
+        config=CallerConfig(merge_mapq=merge_mapq, engine="batched"),
+    ).run()
     assert census.constructed == 0, (
         f"{census.constructed} PileupColumn objects built by the "
         "batched engine end-to-end"
@@ -333,7 +332,7 @@ def test_batched_engine_zero_pileup_columns_end_to_end(
 def test_batched_engine_zero_pileup_columns_over_bam(monkeypatch, tmp_path):
     """Same census over the BAM pipeline: decode -> columnar deposit
     -> screen -> batch exact stage, zero per-column objects."""
-    from repro.pipeline import BamSource, Pipeline
+    from repro.pipeline import BamSource
 
     dataset = _dataset("deep")
     bam = tmp_path / "census.bam"
@@ -452,7 +451,7 @@ def test_builder_streamed_bam_pipeline_byte_identical(monkeypatch, tmp_path):
     spanning every boundary), the batched engine's calls, stats and
     censuses stay byte-identical to streaming -- and still zero
     PileupColumn constructions end to end."""
-    from repro.pipeline import BamSource, Pipeline
+    from repro.pipeline import BamSource
 
     dataset = _dataset("deep")
     bam = tmp_path / "builder.bam"
@@ -480,7 +479,7 @@ def test_builder_streamed_bam_pipeline_byte_identical(monkeypatch, tmp_path):
 def test_builder_batch_size_does_not_change_output(tmp_path, merge_mapq):
     """Flush granularity is an implementation knob: any batch_columns
     must produce identical calls and censuses."""
-    from repro.pipeline import BamSource, Pipeline
+    from repro.pipeline import BamSource
 
     dataset = _dataset("shallow")
     bam = tmp_path / "sizes.bam"
@@ -537,14 +536,14 @@ def test_mapq_profile_engine_equivalence():
     ).simulate(depth=300, seed=57)
     pileup_config = PileupConfig(min_mapq=25)
     for merge_mapq in (False, True):
-        streaming = VariantCaller(
-            CallerConfig(merge_mapq=merge_mapq),
-            pileup_config=pileup_config,
-        ).call_sample(sample)
-        batched = VariantCaller(
-            CallerConfig(merge_mapq=merge_mapq, engine="batched"),
-            pileup_config=pileup_config,
-        ).call_sample(sample)
+        streaming = Pipeline(
+            SampleSource(sample, pileup_config=pileup_config),
+            config=CallerConfig(merge_mapq=merge_mapq),
+        ).run()
+        batched = Pipeline(
+            SampleSource(sample, pileup_config=pileup_config),
+            config=CallerConfig(merge_mapq=merge_mapq, engine="batched"),
+        ).run()
         assert_equivalent(streaming, batched)
 
 
@@ -552,7 +551,7 @@ def _sink_bytes(source, engine, sink_kind, contigs):
     """Pipeline.run() output bytes through a VCF or JSONL sink."""
     import io as _io
 
-    from repro.pipeline import JsonlSink, Pipeline, VcfSink
+    from repro.pipeline import JsonlSink, VcfSink
 
     buf = _io.StringIO()
     sink = (
@@ -576,12 +575,7 @@ def test_all_sources_byte_identical(
     sink formats."""
     from repro.io.regions import Region
     from repro.pileup.vectorized import pileup_sample
-    from repro.pipeline import (
-        BamSource,
-        ColumnsSource,
-        ReadsSource,
-        SampleSource,
-    )
+    from repro.pipeline import BamSource, ColumnsSource, ReadsSource
 
     genome = dataset.genome
     region = Region(genome.name, 0, len(genome))

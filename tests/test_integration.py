@@ -7,12 +7,12 @@ import pytest
 
 from repro.analysis.concordance import compare_call_sets
 from repro.analysis.upset import compute_upset
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.io.bam import BamReader
 from repro.io.fasta import FastaRecord, write_fasta, load_reference
 from repro.io.regions import Region
 from repro.io.vcf import read_vcf, write_vcf
+from repro.pipeline import BamSource, Pipeline, ReadsSource, SampleSource
 from repro.sim.datasets import paper_dataset_suite
 from repro.sim.genome import random_genome
 from repro.sim.haplotypes import random_panel
@@ -39,8 +39,9 @@ class TestFullPipelineOnDisk:
         sample.write_bam(bam_path)
 
         reference = load_reference(ref_path)[genome.name]
-        caller = VariantCaller(CallerConfig.improved())
-        result = caller.call_bam(bam_path, reference)
+        result = Pipeline(
+            BamSource(bam_path, reference), config=CallerConfig.improved()
+        ).run()
         write_vcf(
             vcf_path,
             [c.to_vcf_record() for c in result.calls],
@@ -78,9 +79,14 @@ class TestPaperSuiteEndToEnd:
         suite = paper_dataset_suite(
             genome_length=800, depth_scale=400.0, panel_scale=15.0, seed=17
         )
-        caller = VariantCaller(CallerConfig.improved())
         return {
-            ds.label: (ds, caller.call_sample(ds.sample)) for ds in suite
+            ds.label: (
+                ds,
+                Pipeline(
+                    SampleSource(ds.sample), config=CallerConfig.improved()
+                ).run(),
+            )
+            for ds in suite
         }
 
     def test_calls_track_truth_panels(self, suite_calls):
@@ -97,9 +103,10 @@ class TestPaperSuiteEndToEnd:
         assert upset.shared_by_all() >= 2
 
     def test_improved_equals_original_on_all_five(self, suite_calls):
-        original = VariantCaller(CallerConfig.original())
         for label, (ds, improved_result) in suite_calls.items():
-            original_result = original.call_sample(ds.sample)
+            original_result = Pipeline(
+                SampleSource(ds.sample), config=CallerConfig.original()
+            ).run()
             report = compare_call_sets(
                 improved_result.keys(), original_result.keys()
             )
@@ -110,7 +117,9 @@ class TestWorkflowCensus:
     """Figure 1b as numbers: where do columns go at depth?"""
 
     def test_skip_dominates_at_depth(self, deep_sample):
-        result = VariantCaller(CallerConfig.improved()).call_sample(deep_sample)
+        result = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.improved()
+        ).run()
         stats = result.stats
         d = stats.decisions
         # At 1500x every column has candidates; the vast majority are
@@ -119,7 +128,9 @@ class TestWorkflowCensus:
         assert d.get("skipped_approx", 0) > 10 * d.get("exact_pruned", 0)
 
     def test_census_sums_to_tests_plus_short_circuits(self, deep_sample):
-        result = VariantCaller(CallerConfig.improved()).call_sample(deep_sample)
+        result = Pipeline(
+            SampleSource(deep_sample), config=CallerConfig.improved()
+        ).run()
         d = result.stats.decisions
         allele_level = (
             d.get("skipped_approx", 0)
@@ -131,7 +142,7 @@ class TestWorkflowCensus:
         assert allele_level == result.stats.tests_run
 
     def test_timings_recorded(self, deep_sample):
-        result = VariantCaller().call_sample(deep_sample)
+        result = Pipeline(SampleSource(deep_sample)).run()
         assert result.stats.time_total > 0
         assert 0 < result.stats.time_stats <= result.stats.time_total
 
@@ -162,6 +173,8 @@ class TestMixedCigarPipeline:
                 )
             )
         reads.sort(key=lambda r: r.pos)
-        caller = VariantCaller(CallerConfig.improved())
-        result = caller.call_reads(reads, seq, Region("g", 0, 400))
+        result = Pipeline(
+            ReadsSource(reads, seq, Region("g", 0, 400)),
+            config=CallerConfig.improved(),
+        ).run()
         assert any(c.pos == 200 for c in result.passed)

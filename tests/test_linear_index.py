@@ -3,14 +3,8 @@
 import pytest
 
 from repro.io.bam import BamReader, write_bam
-from repro.io.linear_index import LinearIndex, build_index
+from repro.io.index import build_linear_index
 from repro.io.records import AlignedRead, SamHeader
-
-# This module covers the legacy single-contig surface on purpose; the
-# shim's DeprecationWarning itself is asserted in tests/test_bai.py.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:build_index is deprecated:DeprecationWarning"
-)
 
 
 @pytest.fixture
@@ -27,13 +21,13 @@ def indexed_bam(tmp_path):
 
 class TestBuild:
     def test_checkpoints_at_granularity(self, indexed_bam):
-        index = build_index(indexed_bam, granularity=100)
+        index = build_linear_index(indexed_bam, granularity=100)["chr1"]
         assert len(index.checkpoints) == 10  # 1000 reads / 100
         positions = [p for p, _ in index.checkpoints]
         assert positions == sorted(positions)
 
     def test_max_read_span(self, indexed_bam):
-        index = build_index(indexed_bam)
+        index = build_linear_index(indexed_bam)["chr1"]
         assert index.max_read_span == 10
 
     def test_unsorted_bam_rejected(self, tmp_path):
@@ -45,17 +39,17 @@ class TestBuild:
         path = tmp_path / "unsorted.bam"
         write_bam(path, header, reads)
         with pytest.raises(ValueError, match="unsorted"):
-            build_index(path)
+            build_linear_index(path)
 
     def test_bad_granularity_raises(self, indexed_bam):
         with pytest.raises(ValueError):
-            build_index(indexed_bam, granularity=0)
+            build_linear_index(indexed_bam, granularity=0)["chr1"]
 
 
 class TestQuery:
     def test_seek_covers_all_overlapping_reads(self, indexed_bam):
         """Scanning from query(p) must see every read overlapping p."""
-        index = build_index(indexed_bam, granularity=64)
+        index = build_linear_index(indexed_bam, granularity=64)["chr1"]
         with BamReader(indexed_bam) as reader:
             all_reads = list(reader)
         for pos in (0, 35, 500, 3500, 6990):
@@ -74,7 +68,7 @@ class TestQuery:
             assert expected <= seen
 
     def test_query_before_first_read_returns_data_start(self, indexed_bam):
-        index = build_index(indexed_bam)
+        index = build_linear_index(indexed_bam)["chr1"]
         with BamReader(indexed_bam) as reader:
             reader.seek(index.query(0))
             rec = reader.read_record()
@@ -87,8 +81,6 @@ class TestSharedPositionCheckpoint:
     precede it in the file must not be skipped by a seek."""
 
     def test_seek_keeps_earlier_reads(self, tmp_path):
-        from repro.io.index import build_linear_index
-
         header = SamHeader(references=[("chr1", 1000)], sort_order="coordinate")
         reads = [
             AlignedRead.simple(f"r{i}", "chr1", pos, "ACGTACGTAC", [30] * 10)
@@ -109,19 +101,3 @@ class TestSharedPositionCheckpoint:
             ]
         assert seen == ["r3", "r4", "r5"]
 
-
-class TestPersistence:
-    def test_save_load_round_trip(self, indexed_bam, tmp_path):
-        index = build_index(indexed_bam, granularity=128)
-        path = tmp_path / "x.rli"
-        index.save(path)
-        loaded = LinearIndex.load(path)
-        assert loaded.checkpoints == index.checkpoints
-        assert loaded.max_read_span == index.max_read_span
-        assert loaded.data_start == index.data_start
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.rli"
-        path.write_bytes(b"not an index")
-        with pytest.raises(ValueError, match="magic"):
-            LinearIndex.load(path)

@@ -9,11 +9,9 @@ those, so the fixture injects amplicon-style strand-biased artifacts
 
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.core.filters import DynamicFilterPolicy
-from repro.parallel.legacy import legacy_parallel_call
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
+from repro.pipeline import ExecutionPolicy, Pipeline, SampleSource
 from repro.sim.genome import random_genome
 from repro.sim.haplotypes import ArtifactSpec, random_panel
 from repro.sim.reads import ReadSimulator
@@ -40,15 +38,16 @@ def artifact_sample(artifact_genome):
 
 
 class TestLegacyBug:
-    def test_output_depends_on_partitioning(self, artifact_sample, artifact_genome):
+    def test_output_depends_on_partitioning(self, artifact_sample):
         """The defining symptom: different partition counts, different
         results (with everything else identical)."""
         results = {}
         for n in (1, 2, 4, 8):
-            r = legacy_parallel_call(
-                artifact_sample, artifact_genome.sequence, n_partitions=n,
+            r = Pipeline(
+                SampleSource(artifact_sample),
                 config=CallerConfig.improved(),
-            )
+                policy=ExecutionPolicy(mode="legacy", n_workers=n),
+            ).run()
             results[n] = r.keys()
         distinct = {frozenset(k) for k in results.values()}
         assert len(distinct) > 1, (
@@ -56,70 +55,54 @@ class TestLegacyBug:
             f"got identical outputs of sizes {[len(v) for v in results.values()]}"
         )
 
-    def test_openmp_mode_is_partition_independent(
-        self, artifact_sample, artifact_genome
-    ):
+    def test_openmp_mode_is_partition_independent(self, artifact_sample):
         """The fix: worker count and chunking never change the output,
         even on the artifact-laden sample that trips the legacy mode."""
         outputs = set()
         for n in (1, 2, 4, 8):
-            r = parallel_call(
-                artifact_sample,
-                artifact_genome.sequence,
-                options=ParallelCallOptions(n_workers=n, chunk_columns=100 + n),
+            policy = ExecutionPolicy(
+                mode="thread", n_workers=n, chunk_columns=100 + n
             )
+            r = Pipeline(SampleSource(artifact_sample), policy=policy).run()
             outputs.add(frozenset(r.keys()))
         assert len(outputs) == 1
 
-    def test_openmp_matches_single_process(self, artifact_sample, artifact_genome):
-        single = VariantCaller(CallerConfig.improved()).call_sample(
-            artifact_sample
-        )
-        par = parallel_call(
-            artifact_sample,
-            artifact_genome.sequence,
-            options=ParallelCallOptions(n_workers=4),
-        )
+    def test_openmp_matches_single_process(self, artifact_sample):
+        single = Pipeline(
+            SampleSource(artifact_sample), config=CallerConfig.improved()
+        ).run()
+        policy = ExecutionPolicy(mode="thread", n_workers=4, chunk_columns=256)
+        par = Pipeline(SampleSource(artifact_sample), policy=policy).run()
         assert par.keys() == single.keys()
 
-    def test_legacy_diverges_from_single_process(
-        self, artifact_sample, artifact_genome
-    ):
+    def test_legacy_diverges_from_single_process(self, artifact_sample):
         """At 4+ partitions the legacy output loses calls the correct
         single-pass pipeline keeps."""
-        single = VariantCaller(CallerConfig.improved()).call_sample(
-            artifact_sample
-        )
-        legacy = legacy_parallel_call(
-            artifact_sample, artifact_genome.sequence, n_partitions=4
-        )
-        assert legacy.keys() != single.keys()
+        single = Pipeline(
+            SampleSource(artifact_sample), config=CallerConfig.improved()
+        ).run()
+        legacy4 = Pipeline(
+            SampleSource(artifact_sample),
+            policy=ExecutionPolicy(mode="legacy", n_workers=4),
+        ).run()
+        assert legacy4.keys() != single.keys()
 
-    def test_legacy_single_partition_matches_single_run(self, sample, genome):
+    def test_legacy_single_partition_matches_single_run(self, sample):
         """n=1: both filter stages see the same call set, so the double
         filter degenerates to the correct result."""
-        one = legacy_parallel_call(sample, genome.sequence, n_partitions=1)
-        single = VariantCaller().call_sample(sample)
+        one = Pipeline(
+            SampleSource(sample), policy=ExecutionPolicy(mode="legacy", n_workers=1)
+        ).run()
+        single = Pipeline(SampleSource(sample)).run()
         assert one.keys() == single.keys()
 
-    def test_process_mode_matches_sequential_emulation(
-        self, artifact_sample, artifact_genome
-    ):
-        seq = legacy_parallel_call(
-            artifact_sample, artifact_genome.sequence, n_partitions=3,
-            use_processes=False,
-        )
-        proc = legacy_parallel_call(
-            artifact_sample, artifact_genome.sequence, n_partitions=3,
-            use_processes=True,
-        )
-        assert seq.keys() == proc.keys()
-
-    def test_custom_policy_threads_through(self, sample, genome):
+    def test_custom_policy_threads_through(self, sample):
         policy = DynamicFilterPolicy(sb_alpha=0.5, holm=False)
-        r = legacy_parallel_call(
-            sample, genome.sequence, n_partitions=2, filter_policy=policy
-        )
+        r = Pipeline(
+            SampleSource(sample),
+            filter_policy=policy,
+            policy=ExecutionPolicy(mode="legacy", n_workers=2),
+        ).run()
         assert isinstance(r.keys(), set)
 
 
@@ -165,7 +148,7 @@ class TestArtifactSimulation:
             g, artifacts=[ArtifactSpec(pos, alt, 0.15)], read_length=80
         )
         sample = sim.simulate(depth=600, seed=3)
-        result = VariantCaller().call_sample(sample)
+        result = Pipeline(SampleSource(sample)).run()
         artifact_calls = [c for c in result.calls if c.pos == pos]
         assert artifact_calls, "artifact should be significant pre-filter"
         assert all("sb" in c.filter for c in artifact_calls)

@@ -2,75 +2,61 @@
 guarantee is exact equivalence with a single-process run, for every
 scheduler, worker count and backend."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
-from repro.parallel.openmp import ParallelCallOptions, parallel_call
 from repro.parallel.trace import Category, Tracer, imbalance_metrics
+from repro.pipeline import BamSource, ExecutionPolicy, Pipeline, SampleSource
 
 
 @pytest.fixture(scope="module")
 def single_result(sample):
-    return VariantCaller(CallerConfig.improved()).call_sample(sample)
+    return Pipeline(SampleSource(sample), config=CallerConfig.improved()).run()
+
+
+#: The chunked parallel-for the grid compares against a serial run.
+THREADS = ExecutionPolicy(mode="thread", n_workers=4, chunk_columns=256)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("n_workers", [1, 2, 4, 7])
     def test_matches_single_process_thread_backend(
-        self, sample, genome, single_result, n_workers
+        self, sample, single_result, n_workers
     ):
-        result = parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=n_workers, backend="thread"),
-        )
+        policy = dataclasses.replace(THREADS, n_workers=n_workers)
+        result = Pipeline(SampleSource(sample), policy=policy).run()
         assert result.keys() == single_result.keys()
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
-    def test_matches_for_every_schedule(
-        self, sample, genome, single_result, schedule
-    ):
-        result = parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=3, schedule=schedule),
-        )
+    def test_matches_for_every_schedule(self, sample, single_result, schedule):
+        policy = dataclasses.replace(THREADS, n_workers=3, schedule=schedule)
+        result = Pipeline(SampleSource(sample), policy=policy).run()
         assert result.keys() == single_result.keys()
 
-    def test_matches_serial_backend(self, sample, genome, single_result):
-        result = parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(backend="serial"),
-        )
+    def test_matches_serial_backend(self, sample, single_result):
+        policy = ExecutionPolicy(mode="serial", chunk_columns=256)
+        result = Pipeline(SampleSource(sample), policy=policy).run()
         assert result.keys() == single_result.keys()
 
-    def test_matches_process_backend(self, sample, genome, single_result):
-        result = parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=3, backend="process"),
-        )
+    def test_matches_process_backend(self, sample, single_result):
+        policy = ExecutionPolicy(mode="process", n_workers=3, chunk_columns=256)
+        result = Pipeline(SampleSource(sample), policy=policy).run()
         assert result.keys() == single_result.keys()
 
-    def test_chunk_size_does_not_matter(self, sample, genome, single_result):
+    def test_chunk_size_does_not_matter(self, sample, single_result):
         for chunk in (64, 256, 1024):
-            result = parallel_call(
-                sample,
-                genome.sequence,
-                options=ParallelCallOptions(n_workers=4, chunk_columns=chunk),
-            )
+            policy = dataclasses.replace(THREADS, chunk_columns=chunk)
+            result = Pipeline(SampleSource(sample), policy=policy).run()
             assert result.keys() == single_result.keys()
 
-    def test_original_config_also_equivalent(self, sample, genome):
-        single = VariantCaller(CallerConfig.original()).call_sample(sample)
-        parallel = parallel_call(
-            sample,
-            genome.sequence,
-            config=CallerConfig.original(),
-            options=ParallelCallOptions(n_workers=4),
-        )
+    def test_original_config_also_equivalent(self, sample):
+        config = CallerConfig.original()
+        single = Pipeline(SampleSource(sample), config=config).run()
+        parallel = Pipeline(
+            SampleSource(sample), config=config, policy=THREADS
+        ).run()
         assert parallel.keys() == single.keys()
 
 
@@ -78,25 +64,23 @@ class TestBamSource:
     def test_bam_parallel_matches_single(self, sample, genome, tmp_path):
         bam = tmp_path / "p.bam"
         sample.write_bam(bam)
-        single = VariantCaller().call_bam(bam, genome.sequence)
-        for backend in ("thread", "process"):
-            result = parallel_call(
-                str(bam),
-                genome.sequence,
-                options=ParallelCallOptions(n_workers=3, backend=backend),
-            )
-            assert result.keys() == single.keys(), backend
+        single = Pipeline(BamSource(bam, genome.sequence)).run()
+        for mode in ("thread", "process"):
+            policy = ExecutionPolicy(mode=mode, n_workers=3, chunk_columns=256)
+            result = Pipeline(
+                BamSource(str(bam), genome.sequence), policy=policy
+            ).run()
+            assert result.keys() == single.keys(), mode
 
     def test_bam_source_traces_decompression(self, sample, genome, tmp_path):
         bam = tmp_path / "t.bam"
         sample.write_bam(bam)
         tracer = Tracer()
-        parallel_call(
-            str(bam),
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=2),
+        Pipeline(
+            BamSource(str(bam), genome.sequence),
+            policy=dataclasses.replace(THREADS, n_workers=2),
             tracer=tracer,
-        )
+        ).run()
         cats = {e.category for e in tracer.events}
         assert Category.DECOMPRESS in cats
         assert Category.BAM_ITER in cats
@@ -104,35 +88,16 @@ class TestBamSource:
 
 
 class TestStatsAndTrace:
-    def test_stats_merged_across_workers(self, sample, genome, single_result):
-        result = parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=4),
-        )
+    def test_stats_merged_across_workers(self, sample, single_result):
+        result = Pipeline(SampleSource(sample), policy=THREADS).run()
         assert result.stats.columns_seen == single_result.stats.columns_seen
         assert result.stats.tests_run == single_result.stats.tests_run
 
-    def test_trace_covers_all_workers(self, sample, genome):
+    def test_trace_covers_all_workers(self, sample):
         tracer = Tracer()
-        parallel_call(
-            sample,
-            genome.sequence,
-            options=ParallelCallOptions(n_workers=4),
-            tracer=tracer,
-        )
+        Pipeline(SampleSource(sample), policy=THREADS, tracer=tracer).run()
         workers = {e.worker for e in tracer.events}
         assert workers == {0, 1, 2, 3}
         metrics = imbalance_metrics(tracer.events)
         assert metrics["imbalance"] >= 1.0
         assert 0.0 < metrics["share_prob"] <= 1.0
-
-    def test_invalid_options(self):
-        with pytest.raises(ValueError):
-            ParallelCallOptions(n_workers=0)
-        with pytest.raises(ValueError):
-            ParallelCallOptions(schedule="fifo")
-        with pytest.raises(ValueError):
-            ParallelCallOptions(backend="gpu")
-        with pytest.raises(ValueError):
-            ParallelCallOptions(chunk_columns=0)

@@ -1,10 +1,9 @@
 """Tests for the composable pipeline API (sources -> engine -> sinks).
 
-Covers the ISSUE 2 acceptance criteria: multi-contig BAMs round-trip
-through ``Pipeline.run()`` and the CLI with calls on every contig, and
-the pre-redesign surfaces (``VariantCaller.call_bam``,
-``parallel_call``, the CLI ``call`` subcommand) are byte-identical to
-their old behaviour on single-contig inputs.
+Multi-contig BAMs round-trip through ``Pipeline.run()`` and the CLI
+with calls on every contig, and on single-contig inputs ``Pipeline``
+is byte-identical to the pre-redesign calling loop, kept here as the
+``reference_call_bam`` oracle.
 """
 
 import io
@@ -14,13 +13,14 @@ import pytest
 
 from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
-from repro.core.filters import DynamicFilterPolicy
+from repro.core.filters import DynamicFilterPolicy, filter_once
+from repro.core.results import CallResult
 from repro.io.bam import BamReader, BamWriter
 from repro.io.fasta import write_fasta
 from repro.io.records import SamHeader
 from repro.io.regions import Region
 from repro.io.vcf import read_vcf, write_vcf
-from repro.pileup.engine import pileup
+from repro.pileup.engine import PileupConfig, pileup
 from repro.pipeline import (
     BamSource,
     ColumnsSource,
@@ -35,17 +35,25 @@ from repro.pipeline import (
 )
 
 
-def reference_call_bam(caller, bam_path, reference, region=None):
-    """The pre-redesign ``VariantCaller.call_bam`` body, kept verbatim
-    as the equivalence oracle for the pipeline-backed shim."""
+def reference_call_bam(
+    caller, bam_path, reference, region=None, filter_policy=DynamicFilterPolicy()
+):
+    """The pre-redesign BAM calling loop, kept as the equivalence
+    oracle for ``Pipeline(BamSource(...))``: one region (default: the
+    first header reference) piled up from the start of the file, one
+    ``call_columns`` pass, one post-filter (``filter_policy=None``
+    keeps the raw calls)."""
     with BamReader(bam_path) as reader:
         if region is None:
             name, length = reader.header.references[0]
             region = Region(name, 0, length)
-        columns = pileup(
-            iter(reader), reference, region, caller.pileup_config
-        )
-        return caller.call_columns(columns, len(region))
+        columns = pileup(iter(reader), reference, region, PileupConfig())
+        result = caller.call_columns(columns, len(region))
+    if filter_policy is None:
+        return result
+    return CallResult(
+        calls=filter_once(result.calls, filter_policy), stats=result.stats
+    )
 
 
 def vcf_bytes(result, contigs):
@@ -112,13 +120,13 @@ def multi_contig(tmp_path_factory):
 
 
 class TestShimEquivalence:
-    """Old entry points are byte-identical adapters over the pipeline."""
+    """``Pipeline`` is byte-identical to the pre-redesign calling loop."""
 
     def test_call_bam_vcf_byte_identical(self, bam_workspace, genome):
         _, bam = bam_workspace
         contigs = [(genome.name, len(genome))]
         old = reference_call_bam(VariantCaller(), bam, genome.sequence)
-        new = VariantCaller().call_bam(bam, genome.sequence)
+        new = Pipeline(BamSource(bam, genome.sequence)).run()
         assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs)
 
     def test_call_bam_region_byte_identical(self, bam_workspace, genome):
@@ -126,37 +134,36 @@ class TestShimEquivalence:
         region = Region(genome.name, 100, 900)
         contigs = [(genome.name, len(genome))]
         old = reference_call_bam(VariantCaller(), bam, genome.sequence, region)
-        new = VariantCaller().call_bam(bam, genome.sequence, region)
+        new = Pipeline(BamSource(bam, genome.sequence, regions=[region])).run()
         assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs)
 
     def test_parallel_call_vcf_byte_identical(self, bam_workspace, genome):
-        from repro.parallel import ParallelCallOptions, parallel_call
-
         _, bam = bam_workspace
         contigs = [(genome.name, len(genome))]
         old = reference_call_bam(VariantCaller(), bam, genome.sequence)
-        for backend in ("serial", "thread"):
-            new = parallel_call(
-                str(bam),
-                genome.sequence,
-                options=ParallelCallOptions(n_workers=3, backend=backend),
-            )
-            assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs), backend
+        for policy in (
+            ExecutionPolicy(mode="serial", chunk_columns=256),
+            ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=256),
+        ):
+            new = Pipeline(
+                BamSource(str(bam), genome.sequence), policy=policy
+            ).run()
+            assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs), policy
 
     def test_call_bam_stats_counters_match(self, bam_workspace, genome):
         _, bam = bam_workspace
         old = reference_call_bam(VariantCaller(), bam, genome.sequence)
-        new = VariantCaller().call_bam(bam, genome.sequence)
+        new = Pipeline(BamSource(bam, genome.sequence)).run()
         assert old.stats.columns_seen == new.stats.columns_seen
         assert old.stats.tests_run == new.stats.tests_run
         assert old.stats.decisions == new.stats.decisions
 
-    def test_legacy_call_bam_matches_inline_legacy(self, bam_workspace, genome):
-        """legacy_call_bam (relocated from cli.py) reproduces the old
-        inline _legacy_call_bam output exactly."""
+    def test_legacy_policy_matches_inline_legacy(self, bam_workspace, genome):
+        """``ExecutionPolicy(mode="legacy")`` over a BAM -- what
+        ``call --legacy-parallel`` runs -- reproduces the wrapper's
+        partition-and-merge pipeline exactly."""
         from repro.core.filters import apply_filters
-        from repro.core.results import CallResult, RunStats
-        from repro.parallel import legacy_call_bam
+        from repro.core.results import RunStats
         from repro.parallel.partition import partition_region
 
         _, bam = bam_workspace
@@ -166,8 +173,10 @@ class TestShimEquivalence:
         merged_stats = RunStats()
         survivors = []
         for part in partition_region(region, 4):
-            caller = VariantCaller(config, filter_policy=None)
-            res = reference_call_bam(caller, bam, genome.sequence, part)
+            res = reference_call_bam(
+                VariantCaller(config), bam, genome.sequence, part,
+                filter_policy=None,
+            )
             merged_stats.merge(res.stats)
             filtered = apply_filters(res.calls, policy.fit(res.calls))
             survivors.extend(c for c in filtered if c.filter == "PASS")
@@ -176,30 +185,23 @@ class TestShimEquivalence:
             calls=apply_filters(survivors, policy.fit(survivors)),
             stats=merged_stats,
         )
-        got = legacy_call_bam(bam, genome.sequence, config=config, n_partitions=4)
-        contigs = [(genome.name, len(genome))]
-        assert vcf_bytes(oracle, contigs) == vcf_bytes(got, contigs)
-
-    def test_legacy_pipeline_matches_legacy_parallel_call(self, sample, genome):
-        from repro.parallel import legacy_parallel_call
-
-        oracle = legacy_parallel_call(sample, genome.sequence, n_partitions=4)
         got = Pipeline(
-            SampleSource(sample),
+            BamSource(bam, genome.sequence),
+            config=config,
             policy=ExecutionPolicy(mode="legacy", n_workers=4),
         ).run()
-        assert [c.key for c in oracle.calls] == [c.key for c in got.calls]
-        assert [c.filter for c in oracle.calls] == [c.filter for c in got.calls]
+        contigs = [(genome.name, len(genome))]
+        assert vcf_bytes(oracle, contigs) == vcf_bytes(got, contigs)
 
 
 class TestSources:
     def test_columns_source(self, columns, whole_region, sample):
-        single = VariantCaller().call_sample(sample)
+        single = Pipeline(SampleSource(sample)).run()
         result = Pipeline(ColumnsSource(iter(columns), whole_region)).run()
         assert result.keys() == single.keys()
 
     def test_columns_source_chunked(self, columns, whole_region, sample):
-        single = VariantCaller().call_sample(sample)
+        single = Pipeline(SampleSource(sample)).run()
         result = Pipeline(
             ColumnsSource(columns, whole_region),
             policy=ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=128),
@@ -207,7 +209,7 @@ class TestSources:
         assert result.keys() == single.keys()
 
     def test_reads_source_streaming(self, sample, genome, whole_region):
-        single = VariantCaller().call_sample(sample)
+        single = Pipeline(SampleSource(sample)).run()
         result = Pipeline(
             ReadsSource(sample.reads(), genome.sequence, whole_region)
         ).run()
@@ -233,9 +235,9 @@ class TestSources:
         assert source.contigs == [("ctgA", 700), ("ctgB", 500)]
 
     def test_bam_source_str_reference_defaults_to_first_contig(self, multi_contig):
-        """Legacy call_bam scope: a plain-string reference on a
-        multi-contig BAM restricts the default regions to the first
-        header reference instead of failing."""
+        """A plain-string reference on a multi-contig BAM restricts
+        the default regions to the first header reference instead of
+        failing."""
         source = BamSource(
             multi_contig["bam"], multi_contig["refmap"]["ctgA"]
         )
@@ -571,18 +573,6 @@ class TestMultiIndex:
             record = reader.read_record()
         assert record.rname == "ctgB"
 
-    def test_single_contig_index_unchanged(self, bam_workspace):
-        from repro.io.index import build_linear_index
-        from repro.io.linear_index import build_index
-
-        _, bam = bam_workspace
-        with pytest.warns(DeprecationWarning, match="build_index"):
-            flat = build_index(bam)
-        multi = build_linear_index(bam)
-        (name,) = multi.keys()
-        assert multi[name].checkpoints == flat.checkpoints
-        assert multi[name].max_read_span == flat.max_read_span
-
 
 class TestIoStatsBackends:
     """ISSUE 7 satellite: block-cache counters reach RunStats on every
@@ -657,8 +647,7 @@ class TestStreamingColumnsFor:
 
     def test_streaming_engine_pipeline_unchanged(self, bam_workspace, genome):
         _, bam = bam_workspace
-        caller = VariantCaller()
-        expected = reference_call_bam(caller, str(bam), genome.sequence)
+        expected = reference_call_bam(VariantCaller(), str(bam), genome.sequence)
         result = Pipeline(
             BamSource(bam, genome.sequence),
             policy=ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=128),
