@@ -6,13 +6,13 @@ Subcommands mirror the original tool-chain:
   + ground-truth VCF); ``--mapq-profile aligner_like`` stamps a
   realistic mapping-quality mixture so ``call --min-mapq`` /
   ``--merge-mapq`` have something to bite on.
-* ``index`` -- write a region-seek sidecar for a BAM: the standard
-  ``.bai`` binning index (readable by any samtools-compatible tool)
-  or the homegrown linear multi-index.
+* ``index`` -- write the standard ``.bai`` binning index of a BAM
+  (readable by any samtools-compatible tool).  ``call`` needs none:
+  without ``--index`` it builds the linear index in memory.
 * ``call`` -- call variants on a BAM (original or improved algorithm,
   serial, OpenMP-style parallel, or the legacy buggy parallel mode
   for demonstration); ``--all-contigs`` covers every reference of a
-  multi-contig BAM, ``--index`` consumes a pre-built sidecar,
+  multi-contig BAM, ``--index`` consumes a pre-built ``.bai``,
   ``--cache-blocks`` sizes the per-reader decompressed-block LRU,
   ``--output-format {vcf,jsonl}`` picks the output dialect and
   ``--stats-json`` emits machine-readable run stats.  The subcommand
@@ -74,29 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-truth")
 
     p_index = sub.add_parser(
-        "index", help="write a region-seek sidecar index for a BAM"
+        "index", help="write the standard BAI index of a BAM"
     )
     p_index.add_argument("bam", help="coordinate-sorted BAM to index")
     p_index.add_argument(
         "--out",
         default=None,
         metavar="PATH",
-        help="sidecar path (default: <bam>.bai, or <bam>.rmi for "
-        "--format linear)",
-    )
-    p_index.add_argument(
-        "--format",
-        choices=["bai", "linear"],
-        default="bai",
-        help="bai = the standard binning index (interoperable); "
-        "linear = the homegrown per-contig checkpoint table",
-    )
-    p_index.add_argument(
-        "--granularity",
-        type=int,
-        default=256,
-        metavar="N",
-        help="records between checkpoints (--format linear only)",
+        help="index path (default: <bam>.bai)",
     )
 
     p_call = sub.add_parser("call", help="call variants on a BAM")
@@ -171,10 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--index",
         default=None,
         metavar="PATH",
-        help="pre-built sidecar index for region seeks (a .bai from "
-        "'repro-lofreq index' or any samtools-compatible tool, or a "
-        "linear sidecar); default builds a linear index in memory "
-        "when needed",
+        help="pre-built .bai index for region seeks (from "
+        "'repro-lofreq index' or any samtools-compatible tool); "
+        "default builds a linear index in memory when needed",
     )
     p_call.add_argument(
         "--cache-blocks",
@@ -326,30 +310,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from repro.io.index import build_bai_index, build_linear_index
+    from repro.io.index import build_bai_index
 
+    out = args.out or f"{args.bam}.bai"
     try:
-        if args.format == "bai":
-            out = args.out or f"{args.bam}.bai"
-            index = build_bai_index(args.bam)
-            index.save(out)
-            n_bins = sum(len(ref.bins) for ref in index.references)
-            print(
-                f"wrote BAI index ({len(index.references)} references, "
-                f"{n_bins} bins) to {out}"
-            )
-        else:
-            out = args.out or f"{args.bam}.rmi"
-            index = build_linear_index(args.bam, granularity=args.granularity)
-            index.save(out)
-            n_cp = sum(len(ix.checkpoints) for ix in index.values())
-            print(
-                f"wrote linear index ({len(index)} contigs, "
-                f"{n_cp} checkpoints) to {out}"
-            )
+        index = build_bai_index(args.bam)
+        index.save(out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    n_bins = sum(len(ref.bins) for ref in index.references)
+    print(
+        f"wrote BAI index ({len(index.references)} references, "
+        f"{n_bins} bins) to {out}"
+    )
     return 0
 
 

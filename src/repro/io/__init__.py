@@ -11,12 +11,12 @@ This subpackage provides the substrate LoFreq gets from htslib:
 * :mod:`repro.io.bam` -- the binary BAM format (records round-trip
   byte-exactly through :mod:`repro.io.bgzf`).
 * :mod:`repro.io.index` -- the unified
-  :class:`~repro.io.index.RandomAccessIndex` region-seek API, its
-  builders and the sidecar loader.
-* :mod:`repro.io.bai` -- the standard BAI binning index (reads and
-  writes interoperable ``.bai`` sidecars).
-* :mod:`repro.io.linear_index` -- the homegrown per-contig linear
-  checkpoint index.
+  :class:`~repro.io.index.RandomAccessIndex` region-seek API, the
+  in-memory per-contig linear checkpoint index, both index builders
+  and the ``.bai`` loader.
+* :mod:`repro.io.bai` -- the standard BAI binning index, the one
+  on-disk index format (reads and writes interoperable ``.bai``
+  sidecars).
 * :mod:`repro.io.vcf` -- variant call output in VCF 4.2.
 * :mod:`repro.io.regions` -- genomic interval parsing and arithmetic.
 
@@ -40,13 +40,13 @@ from repro.io.bam import read_bam, write_bam
 from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.index import (
     Chunk,
+    LinearIndex,
     MultiContigIndex,
     RandomAccessIndex,
     build_bai_index,
     build_linear_index,
     load_index,
 )
-from repro.io.linear_index import LinearIndex
 from repro.io.vcf import VcfRecord, read_vcf, write_vcf
 
 __all__ = [

@@ -38,7 +38,7 @@ for interoperability and parsed (not treated as a real bin) on read.
 :class:`BaiIndex` satisfies the
 :class:`repro.io.index.RandomAccessIndex` protocol, so
 :class:`~repro.pipeline.sources.BamSource` consumes it exactly like
-the homegrown linear index.
+the in-memory linear index.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ import dataclasses
 import struct
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
-from repro.io.bam import BamReader, reg2bin
-from repro.io.index import Chunk, _read_exact
+from repro.io.bam import BamReader, reg2bin, walk_records
+from repro.io.index import Chunk
+from repro.io.records import FLAG_UNMAPPED
 
 __all__ = [
     "BAI_MAGIC",
@@ -83,6 +84,32 @@ _LEVELS: Tuple[Tuple[int, int], ...] = (
 
 #: Largest real bin id + 1 (bins 0..37448 inclusive are addressable).
 MAX_BIN = 4681 + (1 << 15)
+
+
+def _read_exact(fh: BinaryIO, n: int) -> bytes:
+    """Read exactly ``n`` bytes of a ``.bai`` from ``fh``.
+
+    Raises:
+        ValueError: ``"truncated BAI index"`` when the file ends first,
+            so a short file never surfaces as a ``struct.error``.
+    """
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError("truncated BAI index")
+    return data
+
+
+def _read_count(fh: BinaryIO, noun: str) -> int:
+    """Read one ``int32`` count of a ``.bai``.
+
+    Raises:
+        ValueError: on truncation or a negative count, which would
+            otherwise load as an empty index that plans no records.
+    """
+    (n,) = struct.unpack("<i", _read_exact(fh, 4))
+    if n < 0:
+        raise ValueError(f"negative {noun} count {n} in BAI index")
+    return n
 
 
 def reg2bins(beg: int, end: int) -> List[int]:
@@ -326,7 +353,8 @@ class BaiIndex:
         """Parse a ``.bai`` file (ours or an external tool's).
 
         Raises:
-            ValueError: if the file is not a BAI index or is truncated.
+            ValueError: if the file is not a BAI index, is truncated or
+                has a negative count.
         """
         with open(path, "rb") as fh:
             return cls.from_handle(fh)
@@ -336,24 +364,19 @@ class BaiIndex:
         """Parse a BAI index from an open binary handle.
 
         Raises:
-            ValueError: on bad magic or truncation.
+            ValueError: on bad magic, truncation or a negative count.
         """
-        what = "BAI index"
         magic = fh.read(4)
         if magic != BAI_MAGIC:
             raise ValueError(f"not a BAI index (magic {magic!r})")
-        (n_ref,) = struct.unpack("<i", _read_exact(fh, 4, what))
-        if n_ref < 0:
-            raise ValueError(f"negative reference count {n_ref}")
         references: List[BaiReference] = []
-        for _ in range(n_ref):
+        for _ in range(_read_count(fh, "reference")):
             ref = BaiReference()
-            (n_bin,) = struct.unpack("<i", _read_exact(fh, 4, what))
-            for _ in range(n_bin):
-                bin_id, n_chunk = struct.unpack("<Ii", _read_exact(fh, 8, what))
+            for _ in range(_read_count(fh, "bin")):
+                (bin_id,) = struct.unpack("<I", _read_exact(fh, 4))
                 chunks = [
-                    Chunk(*struct.unpack("<QQ", _read_exact(fh, 16, what)))
-                    for _ in range(n_chunk)
+                    Chunk(*struct.unpack("<QQ", _read_exact(fh, 16)))
+                    for _ in range(_read_count(fh, "chunk"))
                 ]
                 if bin_id == PSEUDO_BIN:
                     # Metadata, not a real bin: (ref_beg, ref_end),
@@ -369,10 +392,9 @@ class BaiIndex:
                     raise ValueError(f"bin id {bin_id} out of range")
                 else:
                     ref.bins[bin_id] = chunks
-            (n_intv,) = struct.unpack("<i", _read_exact(fh, 4, what))
             ref.intervals = [
-                struct.unpack("<Q", _read_exact(fh, 8, what))[0]
-                for _ in range(n_intv)
+                struct.unpack("<Q", _read_exact(fh, 8))[0]
+                for _ in range(_read_count(fh, "interval"))
             ]
             references.append(ref)
         trailer = fh.read(8)
@@ -448,67 +470,44 @@ class _RefAccumulator:
 
 
 def build_bai(bam_path) -> BaiIndex:
-    """Scan a coordinate-sorted BAM once and build its BAI index.
+    """Walk a coordinate-sorted BAM once and build its BAI index.
 
-    One pass over the BGZF stream: each record contributes a chunk
-    ``(voffset before, voffset after)`` to its :func:`reg2bin` bin and
-    lowers the linear-index floor of every 16 kbp window its alignment
-    touches.  The result interoperates with external tools via
-    :meth:`BaiIndex.save` and answers region queries through
-    :meth:`BaiIndex.chunks_for` (names are attached from the header
-    here, so the returned index is query-ready).
+    One pass of :func:`repro.io.bam.walk_records`, which decodes no
+    record: each placed record contributes a chunk ``(voffset before,
+    voffset after)`` to its :func:`reg2bin` bin and lowers the
+    linear-index floor of every 16 kbp window its alignment touches
+    (a record without CIGAR spans one base).  Records without a
+    coordinate (a negative refID or position) count as ``n_no_coor``;
+    placed unmapped records are filed like mapped ones but counted as
+    unmapped.  The result
+    interoperates with external tools via :meth:`BaiIndex.save` and
+    answers region queries through :meth:`BaiIndex.chunks_for` (names
+    are attached from the header here, so the returned index is
+    query-ready).
 
     Args:
         bam_path: coordinate-sorted BAM to scan.
 
     Raises:
-        ValueError: if the BAM is not coordinate-sorted or a record
-            references a contig missing from the header.
+        ValueError: if the BAM is not coordinate-sorted or a record is
+            malformed.
     """
     with BamReader(bam_path) as reader:
         names = [name for name, _ in reader.header.references]
-        rank = {name: i for i, name in enumerate(names)}
         accumulators = [_RefAccumulator() for _ in names]
         n_no_coor = 0
-        last_rank = -1
-        last_pos = -1
-        while True:
-            vbegin = reader.tell()
-            record = reader.read_record()
-            if record is None:
-                break
-            vend = reader.tell()
-            if record.rname == "*" or record.pos < 0:
+        for ref_id, pos, end, flag, vbegin, vend in walk_records(reader):
+            if ref_id < 0 or pos < 0:
                 n_no_coor += 1
                 continue
-            r = rank.get(record.rname)
-            if r is None:
-                raise ValueError(
-                    f"record references {record.rname!r}, not in the header"
-                )
-            if r < last_rank:
-                raise ValueError(
-                    "cannot index an unsorted BAM (contig "
-                    f"{record.rname!r} appears after a later header contig)"
-                )
-            if r > last_rank:
-                last_rank = r
-                last_pos = -1
-            if record.pos < last_pos:
-                raise ValueError(
-                    "cannot index an unsorted BAM "
-                    f"({record.qname} at {record.pos} after {last_pos})"
-                )
-            last_pos = record.pos
-            end = record.reference_end if record.cigar else record.pos + 1
-            end = max(end, record.pos + 1)
-            accumulators[r].add(
-                reg2bin(record.pos, end),
+            end = max(end, pos + 1)
+            accumulators[ref_id].add(
+                reg2bin(pos, end),
                 vbegin,
                 vend,
-                record.pos,
+                pos,
                 end,
-                mapped=not record.is_unmapped,
+                mapped=not flag & FLAG_UNMAPPED,
             )
     return BaiIndex(
         [acc.finish() for acc in accumulators],

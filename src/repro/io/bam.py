@@ -43,11 +43,20 @@ __all__ = [
     "encode_record",
     "decode_record",
     "reg2bin",
+    "walk_records",
 ]
 
 PathOrFile = Union[str, os.PathLike, BinaryIO]
 
 BAM_MAGIC = b"BAM\x01"
+
+#: The fixed 32-byte record core: refID, pos, l_read_name, mapq, bin,
+#: n_cigar_op, flag, l_seq, next refID, next pos, tlen.
+_CORE = struct.Struct("<iiBBHHHiiii")
+_INT32 = struct.Struct("<i")
+
+#: Bit ``op`` is set for each CIGAR operation that consumes reference.
+_REF_OPS_MASK = sum(1 << int(op) for op in CONSUMES_REFERENCE)
 
 #: BAM 4-bit base codes ("=ACMGRSVTWYHKDBN").
 SEQ_NIBBLES = "=ACMGRSVTWYHKDBN"
@@ -277,8 +286,7 @@ def encode_record(read: AlignedRead, header: SamHeader) -> bytes:
     if n_cigar >= 1 << 16:
         raise ValueError("more than 65535 CIGAR operations")
     end = read.reference_end if read.cigar else read.pos + 1
-    core = struct.pack(
-        "<iiBBHHHiiii",
+    core = _CORE.pack(
         ref_id,
         read.pos,
         len(name),
@@ -321,7 +329,7 @@ def decode_record(body: bytes, header: SamHeader) -> AlignedRead:
         next_ref_id,
         pnext,
         tlen,
-    ) = struct.unpack("<iiBBHHHiiii", body[:32])
+    ) = _CORE.unpack_from(body)
     off = 32
     qname = body[off : off + l_read_name - 1].decode("ascii")
     off += l_read_name
@@ -490,6 +498,98 @@ class BamReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def walk_records(
+    reader: BamReader,
+) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """Walk a BAM's records by their fixed fields, for the index builders.
+
+    From the reader's current position, yields one
+    ``(ref_id, pos, end, flag, vbegin, vend)`` per record: ``end`` is
+    ``pos`` plus the CIGAR's reference span and ``[vbegin, vend)`` are
+    the record's virtual offsets.  The read name, sequence, qualities
+    and tags are skipped unparsed, so no :class:`AlignedRead` is built.
+
+    Placed records (``ref_id >= 0`` and ``pos >= 0``) must come in
+    coordinate order: contigs in header order, positions
+    non-decreasing within each.  Unplaced records are yielded
+    unchecked.
+
+    Raises:
+        ValueError: if the BAM is not coordinate-sorted, or a record is
+            malformed -- cut short, ``block_size`` below the 32-byte
+            core, read name plus CIGAR running past ``block_size``, a
+            refID outside ``[-1, n_ref)`` or a CIGAR op code above 8.
+            A malformed record's message names its virtual offset.
+    """
+    bgzf = reader._bgzf
+    references = reader.header.references
+    n_ref = len(references)
+    last_ref = -1
+    last_pos = -1
+    vbegin = bgzf.tell()
+    while True:
+        size_raw = bgzf.read(4)
+        if not size_raw:
+            return
+        if len(size_raw) < 4:
+            raise ValueError(f"BAM record at voffset {vbegin} is cut short")
+        (block_size,) = _INT32.unpack(size_raw)
+        if block_size < _CORE.size:
+            raise ValueError(
+                f"BAM record at voffset {vbegin} has block_size "
+                f"{block_size}, below the {_CORE.size}-byte core"
+            )
+        body = bgzf.read(block_size)
+        if len(body) < block_size:
+            raise ValueError(
+                f"BAM record at voffset {vbegin} is cut short: wanted "
+                f"{block_size} bytes, got {len(body)}"
+            )
+        vend = bgzf.tell()
+        ref_id, pos, l_read_name, _mapq, _bin, n_cigar, flag = (
+            _CORE.unpack_from(body)[:7]
+        )
+        off = _CORE.size + l_read_name
+        if off + 4 * n_cigar > block_size:
+            raise ValueError(
+                f"BAM record at voffset {vbegin}: read name and CIGAR "
+                f"run past its block_size {block_size}"
+            )
+        if not -1 <= ref_id < n_ref:
+            raise ValueError(
+                f"BAM record at voffset {vbegin} has refID {ref_id}, "
+                f"outside [-1, {n_ref})"
+            )
+        span = 0
+        for word in struct.unpack_from(f"<{n_cigar}I", body, off):
+            op = word & 0xF
+            if op > CigarOp.X:
+                raise ValueError(
+                    f"BAM record at voffset {vbegin} has CIGAR op code {op}"
+                )
+            if _REF_OPS_MASK >> op & 1:
+                span += word >> 4
+        if ref_id >= 0 and pos >= 0:
+            if ref_id < last_ref:
+                raise ValueError(
+                    "cannot index an unsorted BAM (contig "
+                    f"{references[ref_id][0]!r} appears after a later "
+                    "header contig)"
+                )
+            if ref_id > last_ref:
+                last_ref = ref_id
+                last_pos = -1
+            if pos < last_pos:
+                qname = body[_CORE.size : off - 1].decode("ascii", "replace")
+                raise ValueError(
+                    "cannot index an unsorted BAM "
+                    f"({qname} at {pos} after {last_pos})"
+                )
+            last_pos = pos
+        yield ref_id, pos, pos + span, flag, vbegin, vend
+        vbegin = vend
 
 
 def write_bam(

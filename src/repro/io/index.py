@@ -5,27 +5,26 @@ question -- *which file ranges can hold records overlapping*
 ``[start, end)`` *of this contig?* -- answered as a list of
 :class:`Chunk` virtual-offset ranges:
 
-* :class:`~repro.io.linear_index.LinearIndex` answers with one
-  open-ended chunk starting at its checkpoint scan offset;
-* :class:`MultiContigIndex` (one linear index per contig) routes to
-  the right contig's linear index;
+* :class:`MultiContigIndex` (one :class:`LinearIndex` checkpoint
+  table per contig, built in memory) answers with one open-ended
+  chunk starting at the contig's checkpoint scan offset;
 * :class:`~repro.io.bai.BaiIndex` answers with the real binned seek
   plan -- several tight ranges instead of one suffix scan.
 
-:class:`~repro.pipeline.sources.BamSource` consumes any of them
-uniformly; equivalence tests pin the three to byte-identical calls.
+:class:`~repro.pipeline.sources.BamSource` consumes either uniformly;
+equivalence tests pin the two to byte-identical calls.
 
-Builders and the sidecar loader live here too:
-:func:`build_linear_index` (the per-contig linear index, whose
-sidecar is ``RMI1``), :func:`build_bai_index` and the magic-sniffing
-:func:`load_index`.
+Both builders walk the BAM once with
+:func:`repro.io.bam.walk_records` and decode no record:
+:func:`build_linear_index` (the default planner) and
+:func:`build_bai_index`.  BAI is the only on-disk format;
+:func:`load_index` reads a ``.bai`` sidecar.
 """
 
 from __future__ import annotations
 
-import struct
+import dataclasses
 from typing import (
-    BinaryIO,
     Dict,
     Iterator,
     List,
@@ -34,13 +33,16 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
-from repro.io.linear_index import LinearIndex, _scan_linear
+from repro.io.bam import BamReader, walk_records
+from repro.io.records import FLAG_UNMAPPED
 
 __all__ = [
     "Chunk",
+    "LinearIndex",
     "MAX_VOFFSET",
     "MultiContigIndex",
     "RandomAccessIndex",
@@ -51,23 +53,8 @@ __all__ = [
 
 #: Open-ended chunk sentinel: no virtual offset compares above it, so
 #: a ``Chunk(v, MAX_VOFFSET)`` means "scan from ``v`` until the region
-#: (or file) ends" -- the linear indexes' answer shape.
+#: (or file) ends" -- the linear index's answer shape.
 MAX_VOFFSET = (1 << 63) - 1
-
-_MULTI_MAGIC = b"RMI1"
-
-
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of a sidecar index from ``fh``.
-
-    Raises:
-        ValueError: ``"truncated <what>"`` when the file ends first, so
-            a short sidecar never surfaces as a ``struct.error``.
-    """
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated {what}")
-    return data
 
 
 class Chunk(NamedTuple):
@@ -82,8 +69,7 @@ class Chunk(NamedTuple):
 class RandomAccessIndex(Protocol):
     """Anything that can plan region seeks into a coordinate-sorted BAM.
 
-    Implementations: :class:`~repro.io.linear_index.LinearIndex`
-    (single contig), :class:`MultiContigIndex` (one linear index per
+    Implementations: :class:`MultiContigIndex` (one linear index per
     contig) and :class:`~repro.io.bai.BaiIndex` (the standard binning
     scheme).
     """
@@ -107,8 +93,51 @@ class RandomAccessIndex(Protocol):
         ...
 
 
+@dataclasses.dataclass
+class LinearIndex:
+    """One contig's checkpoints into a coordinate-sorted BAM.
+
+    Every ``granularity``-th mapped record of the contig contributes a
+    ``(position, virtual offset)`` checkpoint; a query answers with
+    the offset of one suffix scan.
+
+    Attributes:
+        checkpoints: ``(pos, voffset)`` pairs, non-decreasing in both.
+        max_read_span: the longest reference span of any record; a
+            query for position ``p`` must start no later than the
+            first read at ``p - max_read_span + 1`` to catch every
+            overlapping read.
+        data_start: virtual offset of the contig's first indexed
+            record.
+    """
+
+    checkpoints: List[Tuple[int, int]]
+    max_read_span: int
+    data_start: int
+
+    def query(self, pos: int) -> int:
+        """Virtual offset from which a scan is guaranteed to see every
+        read overlapping position ``pos``.  Falls back to the contig's
+        first record (never the raw file start, which would land a
+        reader on the BAM header).
+
+        The answer is the last checkpoint *strictly before* the first
+        position that can overlap ``pos``: a checkpoint is one record,
+        and reads at its own position may precede it in the file, so a
+        checkpoint at exactly that position could skip some of them.
+        """
+        target = pos - self.max_read_span + 1
+        best = self.data_start
+        for cp_pos, voffset in self.checkpoints:
+            if cp_pos < target:
+                best = voffset
+            else:
+                break
+        return best
+
+
 class MultiContigIndex(Mapping):
-    """One :class:`~repro.io.linear_index.LinearIndex` per contig.
+    """One :class:`LinearIndex` per contig.
 
     A :class:`RandomAccessIndex` that is also a read-only
     :class:`~collections.abc.Mapping` (``index["chr1"]``,
@@ -139,106 +168,70 @@ class MultiContigIndex(Mapping):
         return list(self._per_contig)
 
     def chunks_for(self, contig: str, start: int, end: int) -> List[Chunk]:
-        """Route the query to the contig's linear index (empty plan
-        for unknown contigs -- they have no records)."""
-        index = self._per_contig.get(contig)
-        if index is None:
+        """One open-ended chunk from the contig's
+        :meth:`LinearIndex.query`\\ ``(start)``; empty for an unknown
+        contig (it has no records) or an empty region.  ``end`` does
+        not tighten the plan (checkpoints only bound starts);
+        consumers stop at the region end themselves."""
+        table = self._per_contig.get(contig)
+        if table is None or end <= start:
             return []
-        return index.chunks_for(contig, start, end)
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write a multi-contig sidecar (magic ``RMI1``): per contig a
-        length-prefixed name plus the linear-index table."""
-        with open(path, "wb") as fh:
-            fh.write(_MULTI_MAGIC)
-            fh.write(struct.pack("<i", len(self._per_contig)))
-            for name, index in self._per_contig.items():
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(
-                    struct.pack(
-                        "<qqq",
-                        index.max_read_span,
-                        index.data_start,
-                        len(index.checkpoints),
-                    )
-                )
-                for pos, voffset in index.checkpoints:
-                    fh.write(struct.pack("<qq", pos, voffset))
-
-    @classmethod
-    def load(cls, path) -> "MultiContigIndex":
-        """Load a sidecar written by :meth:`save`.
-
-        Raises:
-            ValueError: if the file is not a multi-contig index, is
-                truncated or has a negative count.
-        """
-        what = f"linear index {path}"
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MULTI_MAGIC:
-                raise ValueError(
-                    f"not a multi-contig linear index (magic {magic!r})"
-                )
-            (n,) = struct.unpack("<i", _read_exact(fh, 4, what))
-            if n < 0:
-                raise ValueError(f"negative contig count {n} in {what}")
-            per_contig: Dict[str, LinearIndex] = {}
-            for _ in range(n):
-                (name_len,) = struct.unpack("<H", _read_exact(fh, 2, what))
-                name = _read_exact(fh, name_len, what).decode("utf-8")
-                max_span, data_start, n_cp = struct.unpack(
-                    "<qqq", _read_exact(fh, 24, what)
-                )
-                if n_cp < 0:
-                    raise ValueError(
-                        f"negative checkpoint count {n_cp} in {what}"
-                    )
-                cps = [
-                    struct.unpack("<qq", _read_exact(fh, 16, what))
-                    for _ in range(n_cp)
-                ]
-                per_contig[name] = LinearIndex(
-                    checkpoints=cps,
-                    max_read_span=max_span,
-                    data_start=data_start,
-                )
-        return cls(per_contig)
+        return [Chunk(table.query(start), MAX_VOFFSET)]
 
 
 def build_linear_index(bam_path, granularity: int = 256) -> MultiContigIndex:
-    """Scan a BAM once and build the per-contig linear multi-index.
+    """Walk a BAM once and build the per-contig linear multi-index.
 
-    :class:`~repro.pipeline.BamSource`'s default index: every
-    ``granularity``-th record per contig contributes a ``(position,
-    virtual offset)`` checkpoint, queries answer with one open-ended
-    suffix chunk.  For the real
-    O(log) binned plan, build :func:`build_bai_index` instead.
+    :class:`~repro.pipeline.BamSource`'s default index.  A
+    coordinate-sorted multi-contig BAM restarts positions at every
+    contig, so each contig gets its own :class:`LinearIndex`, whose
+    ``data_start`` is the virtual offset of that contig's first mapped
+    record: every ``granularity``-th mapped record per contig
+    contributes a checkpoint, and ``max_read_span`` is the longest
+    CIGAR reference span.  Unmapped and unplaced records are skipped;
+    contigs without mapped records are absent.  For the real O(log)
+    binned plan, build :func:`build_bai_index` instead.
 
     Args:
         bam_path: coordinate-sorted BAM to scan.
         granularity: records per checkpoint (positive).
 
     Raises:
-        ValueError: if ``granularity`` is not positive or the BAM is
-            not coordinate-sorted.
+        ValueError: if ``granularity`` is not positive, the BAM is not
+            coordinate-sorted or a record is malformed (see
+            :func:`repro.io.bam.walk_records`).
     """
-    return MultiContigIndex(_scan_linear(bam_path, granularity))
+    if granularity <= 0:
+        raise ValueError(f"granularity must be positive, got {granularity}")
+    tables: Dict[str, LinearIndex] = {}
+    with BamReader(bam_path) as reader:
+        names = [name for name, _ in reader.header.references]
+        last_ref = -1
+        for ref_id, pos, end, flag, vbegin, _vend in walk_records(reader):
+            if ref_id < 0 or pos < 0 or flag & FLAG_UNMAPPED:
+                continue
+            if ref_id != last_ref:
+                last_ref = ref_id
+                table = tables[names[ref_id]] = LinearIndex([], 1, vbegin)
+                n_records = 0
+            if end - pos > table.max_read_span:
+                table.max_read_span = end - pos
+            if n_records % granularity == 0:
+                table.checkpoints.append((pos, vbegin))
+            n_records += 1
+    return MultiContigIndex(tables)
 
 
 def build_bai_index(bam_path):
-    """Scan a BAM once and build its standard BAI binning index
+    """Walk a BAM once and build its standard BAI binning index
     (:class:`~repro.io.bai.BaiIndex`, names attached, query-ready).
 
     Args:
         bam_path: coordinate-sorted BAM to scan.
 
     Raises:
-        ValueError: if the BAM is not coordinate-sorted.
+        ValueError: if the BAM is not coordinate-sorted or a record is
+            malformed (see :func:`repro.io.bam.walk_records`).
     """
     from repro.io.bai import build_bai
 
@@ -246,19 +239,16 @@ def build_bai_index(bam_path):
 
 
 def load_index(path, names: Optional[Sequence[str]] = None):
-    """Load any sidecar index, sniffing the format from its magic.
-
-    Accepts the standard ``.bai`` (ours or an external tool's) and the
-    multi-contig linear sidecar (``RMI1``).
+    """Load a ``.bai`` sidecar (ours or an external tool's).
 
     Args:
         path: sidecar file.
-        names: the BAM header's reference names.  Required to make a
-            ``.bai`` queryable by contig name (the format stores ids
-            only); ignored for ``RMI1`` (which stores names).
+        names: the BAM header's reference names.  Required to make the
+            index queryable by contig name (the format stores ids
+            only).
 
     Returns:
-        A :class:`RandomAccessIndex`.
+        A :class:`~repro.io.bai.BaiIndex`.
 
     Raises:
         ValueError: on an unrecognised magic or a truncated or corrupt
@@ -268,11 +258,9 @@ def load_index(path, names: Optional[Sequence[str]] = None):
 
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == BAI_MAGIC:
-        index = BaiIndex.load(path)
-        if names is not None:
-            index.attach_names(names)
-        return index
-    if magic == _MULTI_MAGIC:
-        return MultiContigIndex.load(path)
-    raise ValueError(f"unrecognised index magic {magic!r} in {path}")
+    if magic != BAI_MAGIC:
+        raise ValueError(f"unrecognised index magic {magic!r} in {path}")
+    index = BaiIndex.load(path)
+    if names is not None:
+        index.attach_names(names)
+    return index

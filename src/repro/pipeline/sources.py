@@ -372,7 +372,7 @@ class BamSource:
     built per-contig linear index
     (:func:`repro.io.index.build_linear_index`), or any index passed
     via ``index`` (a :class:`~repro.io.bai.BaiIndex` for the standard
-    O(log) binned seek plan, or a sidecar path); the common serial
+    O(log) binned seek plan, or a ``.bai`` path); the common serial
     whole-file case streams from the first record without paying for
     an index scan.  Per-worker readers keep an LRU buffer of
     decompressed BGZF blocks (``cache_blocks``), so repeated or
@@ -402,14 +402,14 @@ class BamSource:
             solely on its own ``slice_columns`` guard.  ``None``
             disables the re-slice (one batch per chunk).
         index: region-seek index.  ``None`` (default) lazily builds
-            the per-contig linear index on first region seek; a
-            :class:`~repro.io.index.RandomAccessIndex` instance (e.g.
-            :func:`repro.io.index.build_bai_index` output) is used as
-            given; a path loads a sidecar via
-            :func:`repro.io.index.load_index` (``.bai`` files get the
-            header's reference names attached automatically).  Every
-            flavour produces byte-identical calls -- only the seek
-            plans differ.
+            the per-contig linear index in memory on first region
+            seek (one walk of the record headers, no record decode);
+            a :class:`~repro.io.index.RandomAccessIndex` instance
+            (e.g. :func:`repro.io.index.build_bai_index` output) is
+            used as given; a path loads a ``.bai`` file via
+            :func:`repro.io.index.load_index`, with the header's
+            reference names attached.  Every flavour produces
+            byte-identical calls -- only the seek plans differ.
         cache_blocks: decompressed BGZF blocks kept resident per
             worker reader (~64 KiB each; the
             :data:`DEFAULT_CACHE_BLOCKS` default bounds a reader's
@@ -516,7 +516,7 @@ class BamSource:
 
     def _ensure_index(self):
         """The :class:`~repro.io.index.RandomAccessIndex` behind every
-        region seek.  Explicit indexes (instance or sidecar path) were
+        region seek.  Explicit indexes (instance or ``.bai`` path) were
         resolved at construction; the default linear multi-index is
         built lazily here, on the first seek that needs it."""
         if self._index is None:

@@ -22,7 +22,7 @@ The CLI front end is ``repro-lofreq serve``; in-process callers use
 """
 
 from repro.serve.cache import CachedResult, ResultCache
-from repro.serve.client import ServeClient, TcpServeClient
+from repro.serve.client import ServeClient
 from repro.serve.models import (
     CallRequest,
     CallResponse,
@@ -52,7 +52,6 @@ __all__ = [
     "ServerOverloadedError",
     "ShardMap",
     "ShardWorker",
-    "TcpServeClient",
     "ValidationError",
     "config_hash",
     "run_server",

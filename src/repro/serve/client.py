@@ -1,33 +1,25 @@
-"""Clients for the calling service.
+"""The in-process client for the calling service.
 
-* :class:`ServeClient` -- the in-process client: wraps a
-  :class:`~repro.serve.server.CallService` (its own, or one passed
-  in) and exposes a synchronous :meth:`~ServeClient.call` plus the
-  async :meth:`~ServeClient.submit`.  This is what the test suite and
-  ``benchmarks/bench_serve.py`` drive.
-* :class:`TcpServeClient` -- a tiny blocking socket client for the
-  ``repro-lofreq serve`` TCP front end (one JSON object per line each
-  way); used by the CI serve smoke step.
+:class:`ServeClient` wraps a :class:`~repro.serve.server.CallService`
+(its own, or one passed in) and exposes a synchronous
+:meth:`~ServeClient.call` plus the async :meth:`~ServeClient.submit`.
+This is what the test suite, ``benchmarks/bench_serve.py`` and the CI
+serve smoke step drive.  The ``repro-lofreq serve`` TCP front end
+speaks one JSON object per line each way; any socket client can talk
+to it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import socket
 from typing import Dict, Optional
 
 from repro.core.config import CallerConfig
 from repro.pileup.engine import PileupConfig
-from repro.serve.models import (
-    CallRequest,
-    CallResponse,
-    RequestError,
-    ValidationError,
-)
+from repro.serve.models import CallRequest, CallResponse
 from repro.serve.server import CallService
 
-__all__ = ["ServeClient", "TcpServeClient"]
+__all__ = ["ServeClient"]
 
 
 def _build_request(
@@ -126,100 +118,3 @@ class ServeClient:
         """Context-manager exit: close an owned service."""
         self.close()
 
-
-class TcpServeClient:
-    """Blocking line-JSON client for the TCP front end.
-
-    Args:
-        host: server host.
-        port: server port.
-        timeout: per-response socket timeout in seconds.
-
-    Example::
-
-        client = TcpServeClient("127.0.0.1", 7341)
-        response = client.call("sample.bam", region="chr1")
-        client.close()
-    """
-
-    def __init__(
-        self, host: str = "127.0.0.1", port: int = 7341, *, timeout: float = 60.0
-    ) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
-
-    def _roundtrip(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Send one JSON line, read one JSON line back."""
-        self._file.write(json.dumps(payload).encode("utf-8") + b"\n")
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    def call(
-        self,
-        bam: str,
-        *,
-        region: Optional[str] = None,
-        reference: Optional[str] = None,
-        output_format: str = "vcf",
-        config: Optional[Dict[str, object]] = None,
-        pileup: Optional[Dict[str, object]] = None,
-    ) -> CallResponse:
-        """Serve one request over the socket.
-
-        ``config`` / ``pileup`` are plain keyword dicts (the JSON
-        protocol's representation).  Error responses re-raise as the
-        :class:`~repro.serve.models.RequestError` family.
-        """
-        payload: Dict[str, object] = {"bam": bam, "output_format": output_format}
-        if region is not None:
-            payload["region"] = region
-        if reference is not None:
-            payload["reference"] = reference
-        if config:
-            payload["config"] = config
-        if pileup:
-            payload["pileup"] = pileup
-        response = self._roundtrip(payload)
-        if response.get("status") != "ok":
-            kind = response.get("kind", "RequestError")
-            from repro.serve import models
-
-            exc_type = getattr(models, str(kind), RequestError)
-            if not (
-                isinstance(exc_type, type) and issubclass(exc_type, RequestError)
-            ):
-                exc_type = RequestError
-            raise exc_type(str(response.get("error", "request failed")))
-        return CallResponse(
-            body=response["body"],
-            output_format=response["output_format"],
-            cached=bool(response["cached"]),
-            coalesced=bool(response["coalesced"]),
-            key=None,
-            stats=response.get("stats", {}),
-        )
-
-    def stats(self) -> Dict[str, object]:
-        """The server's counter snapshot (the ``stats`` op)."""
-        response = self._roundtrip({"op": "stats"})
-        if response.get("status") != "ok":
-            raise ValidationError(str(response.get("error", "stats failed")))
-        return response["stats"]
-
-    def close(self) -> None:
-        """Close the socket."""
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "TcpServeClient":
-        """Context-manager entry."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: close the socket."""
-        self.close()

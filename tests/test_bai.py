@@ -8,7 +8,9 @@ region calls planned through a :class:`~repro.io.bai.BaiIndex` are
 byte-identical to the linear-index path.
 """
 
+import functools
 import io
+import random
 import struct
 
 import pytest
@@ -26,16 +28,16 @@ from repro.io.bai import (
     reg2bins,
 )
 from repro.io.bam import BamReader, BamWriter, reg2bin
+from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.index import (
     MAX_VOFFSET,
     Chunk,
-    MultiContigIndex,
     RandomAccessIndex,
     build_bai_index,
     build_linear_index,
     load_index,
 )
-from repro.io.records import SamHeader
+from repro.io.records import FLAG_UNMAPPED, AlignedRead, SamHeader
 from repro.io.regions import Region
 from repro.io.vcf import write_vcf
 from repro.pipeline import BamSource, Pipeline
@@ -460,16 +462,8 @@ class TestPipelineEquivalence:
 
 
 class TestMultiContigIndexPersistence:
-    def test_save_load_round_trip(self, two_contig):
-        index = build_linear_index(two_contig["bam"])
-        path = two_contig["root"] / "multi.rmi"
-        index.save(path)
-        loaded = MultiContigIndex.load(path)
-        assert list(loaded) == list(index)
-        for name in index:
-            assert loaded[name].checkpoints == index[name].checkpoints
-            assert loaded[name].max_read_span == index[name].max_read_span
-            assert loaded[name].data_start == index[name].data_start
+    """The in-memory linear index's mapping view, and ``load_index``:
+    BAI is the one on-disk index format."""
 
     def test_mapping_interface(self, two_contig):
         index = build_linear_index(two_contig["bam"])
@@ -484,45 +478,169 @@ class TestMultiContigIndexPersistence:
         assert isinstance(index, BaiIndex)
         assert index.contigs() == ["ctgA", "ctgB"]
 
-    def test_load_index_sniffs_multi(self, two_contig):
-        path = two_contig["root"] / "sniff.rmi"
-        build_linear_index(two_contig["bam"]).save(path)
-        index = load_index(path)
-        assert isinstance(index, MultiContigIndex)
-        assert index.contigs() == ["ctgA", "ctgB"]
-
     def test_load_index_unknown_magic(self, two_contig):
         path = two_contig["root"] / "garbage.idx"
-        # RLI1 is the retired single-contig linear sidecar.
-        for magic in (b"NOPE", b"RLI1"):
+        # RLI1 and RMI1 are the retired linear-index sidecars.
+        for magic in (b"NOPE", b"RLI1", b"RMI1"):
             path.write_bytes(magic + b"\x00" * 16)
-            with pytest.raises(ValueError, match="magic"):
+            with pytest.raises(ValueError, match="unrecognised index magic"):
                 load_index(path)
 
-    def test_load_index_rejects_truncated_multi(self, two_contig):
-        """Every proper prefix of a valid sidecar is a typed error,
-        never a ``struct.error`` from a short read."""
-        full = two_contig["root"] / "whole.rmi"
-        build_linear_index(two_contig["bam"]).save(full)
-        data = full.read_bytes()
-        path = two_contig["root"] / "cut.rmi"
-        for size in range(len(data)):
+    def test_load_index_rejects_truncated_bai(self, two_contig):
+        """Every prefix that cuts into the references is a typed error,
+        never a ``struct.error`` from a short read.  The last 8 bytes
+        are the optional ``n_no_coor`` trailer."""
+        data = build_bai_index(two_contig["bam"]).to_bytes()
+        path = two_contig["root"] / "cut.bai"
+        for size in range(len(data) - 8):
             path.write_bytes(data[:size])
             with pytest.raises(ValueError):
                 load_index(path)
+        path.write_bytes(data[:-8])
+        assert load_index(path).n_no_coor is None
 
     def test_load_index_rejects_negative_counts(self, two_contig):
-        """A negative contig or checkpoint count is corruption, not an
-        empty index that would silently plan no records."""
-        path = two_contig["root"] / "negative.rmi"
-        path.write_bytes(b"RMI1" + struct.pack("<i", -1))
-        with pytest.raises(ValueError, match="negative contig count"):
-            load_index(path)
-        name = b"ctgA"
-        path.write_bytes(
-            b"RMI1" + struct.pack("<iH", 1, len(name)) + name
-            + struct.pack("<qqq", 70, 0, -1)
-        )
-        with pytest.raises(ValueError, match="negative checkpoint count"):
+        """A negative bin, chunk or interval count is corruption, not
+        an empty index that would silently plan no records."""
+        path = two_contig["root"] / "negative.bai"
+        head = BAI_MAGIC + struct.pack("<i", 1)
+        for body, noun in [
+            (struct.pack("<i", -1), "bin"),
+            (struct.pack("<iIi", 1, 4681, -1), "chunk"),
+            (struct.pack("<ii", 0, -1), "interval"),
+        ]:
+            path.write_bytes(head + body)
+            with pytest.raises(ValueError, match=f"negative {noun} count"):
+                load_index(path)
+        path.write_bytes(BAI_MAGIC + struct.pack("<i", -1))
+        with pytest.raises(ValueError, match="negative reference count"):
             load_index(path)
 
+
+def _bgzf(payload: bytes) -> io.BytesIO:
+    """``payload`` wrapped in a valid BGZF stream."""
+    buf = io.BytesIO()
+    with BgzfWriter(buf) as writer:
+        writer.write(payload)
+    buf.seek(0)
+    return buf
+
+
+def _inflate(raw: bytes) -> bytes:
+    with BgzfReader(io.BytesIO(raw)) as reader:
+        return reader.read()
+
+
+@functools.lru_cache(maxsize=None)
+def small_bam_payload():
+    """``(header bytes, record bytes)`` of a small decompressed BAM:
+    two contigs, clipped and gapped CIGARs, a placed unmapped read and
+    an unplaced one."""
+    header = SamHeader(
+        references=[("chrA", 5_000), ("chrB", 3_000)], sort_order="coordinate"
+    )
+    seq, qual = "ACGTACGTACGTACGTACGT", [30] * 20
+
+    def unmapped(qname, rname, pos):
+        return AlignedRead(qname, FLAG_UNMAPPED, rname, pos, 0, [], seq, qual)
+
+    reads = [
+        AlignedRead.simple("a1", "chrA", 10, seq, qual),
+        AlignedRead.simple("a2", "chrA", 12, seq, qual, cigar="5S15M"),
+        AlignedRead.simple("a3", "chrA", 40, seq, qual, cigar="8M3D4M2I6M"),
+        unmapped("a4", "chrA", 40),
+        AlignedRead.simple("b1", "chrB", 7, seq, qual, cigar="10M100N10M"),
+        AlignedRead.simple("b2", "chrB", 90, seq, qual),
+        unmapped("u1", "*", -1),
+    ]
+    empty, full = io.BytesIO(), io.BytesIO()
+    BamWriter(empty, header).close()
+    with BamWriter(full, header) as writer:
+        for read in reads:
+            writer.write(read)
+    head = _inflate(empty.getvalue())
+    payload = _inflate(full.getvalue())
+    return head, payload[len(head):]
+
+
+BUILDERS = [build_linear_index, build_bai_index]
+
+
+class TestIndexBuildInput:
+    """Both builders walk fixed fields only, and a malformed record is a
+    ``ValueError`` naming its virtual offset."""
+
+    def test_builds_decode_no_records(self, two_contig, monkeypatch):
+        import repro.io.bam
+
+        def refuse(body, header):
+            raise AssertionError("an index build decoded a record")
+
+        monkeypatch.setattr(repro.io.bam, "decode_record", refuse)
+        assert build_linear_index(two_contig["bam"]).contigs() == [
+            "ctgA", "ctgB"
+        ]
+        bai = build_bai_index(two_contig["bam"])
+        assert [ref.mapped > 0 for ref in bai.references] == [True, True]
+
+    def test_small_payload_indexes(self):
+        head, records = small_bam_payload()
+        linear = build_linear_index(_bgzf(head + records), granularity=1)
+        # The placed unmapped a4 is not a checkpoint; a3 spans 21 bases.
+        assert [pos for pos, _ in linear["chrA"].checkpoints] == [10, 12, 40]
+        assert linear["chrA"].max_read_span == 21
+        assert linear["chrB"].max_read_span == 120
+        bai = build_bai_index(_bgzf(head + records))
+        assert (bai.references[0].mapped, bai.references[0].unmapped) == (3, 1)
+        assert bai.n_no_coor == 1
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("cut", "cut short"),
+            ("small_block", "block_size -5"),
+            ("long_cigar", "run past"),
+            ("ref_id", "refID 7"),
+            ("cigar_op", "CIGAR op code 9"),
+        ],
+    )
+    def test_malformed_record_raises(self, builder, case, match):
+        head, records = small_bam_payload()
+        records = bytearray(records)
+        first_cigar = 4 + 32 + records[12]  # block_size, core, read name
+        if case == "cut":
+            records = records[:-5]
+        elif case == "small_block":
+            records[0:4] = struct.pack("<i", -5)
+        elif case == "long_cigar":
+            records[16:18] = struct.pack("<H", 0xFFFF)
+        elif case == "ref_id":
+            records[4:8] = struct.pack("<i", 7)
+        else:
+            records[first_cigar] = (records[first_cigar] & 0xF0) | 9
+        with pytest.raises(ValueError, match=match) as info:
+            builder(_bgzf(head + bytes(records)))
+        assert "voffset" in str(info.value)
+
+    @given(
+        mode=st.sampled_from(["truncate", "flip"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_damaged_records_build_or_raise_value_error(self, mode, seed):
+        """Truncated or byte-flipped records, re-wrapped in valid BGZF:
+        each builder returns or raises ``ValueError`` -- never
+        ``EOFError``, ``IndexError`` or ``struct.error``."""
+        head, records = small_bam_payload()
+        records = bytearray(records)
+        rng = random.Random(seed)
+        if mode == "truncate":
+            records = records[: rng.randrange(len(records))]
+        else:
+            records[rng.randrange(len(records))] ^= rng.randint(1, 255)
+        for builder in BUILDERS:
+            try:
+                builder(_bgzf(head + bytes(records)))
+            except ValueError:
+                pass

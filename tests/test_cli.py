@@ -551,16 +551,27 @@ class TestIndexSubcommand:
         assert sidecar.read_bytes()[:4] == b"BAI\x01"
         assert "wrote BAI index" in capsys.readouterr().out
 
-    def test_writes_linear_with_out(self, workspace, capsys):
-        bam = workspace / "sample.bam"
-        out = workspace / "custom.rmi"
-        rc = main(
-            ["index", str(bam), "--format", "linear",
-             "--out", str(out), "--granularity", "64"]
-        )
-        assert rc == 0
-        assert out.read_bytes()[:4] == b"RMI1"
-        assert "wrote linear index" in capsys.readouterr().out
+    def test_linear_format_gone(self, workspace):
+        """BAI is the one on-disk index; ``--format`` went with RMI1."""
+        with pytest.raises(SystemExit) as info:
+            main(["index", str(workspace / "sample.bam"), "--format", "linear"])
+        assert info.value.code == 2
+
+    def test_cut_bam_errors(self, workspace, tmp_path, capsys):
+        """A BAM whose last record is cut short inside a valid BGZF
+        stream is a one-line error, not a traceback."""
+        from repro.io.bgzf import BgzfReader, BgzfWriter
+
+        with BgzfReader(str(workspace / "sample.bam")) as reader:
+            payload = reader.read()
+        cut = tmp_path / "cut.bam"
+        with BgzfWriter(str(cut)) as writer:
+            writer.write(payload[:-5])
+        rc = main(["index", str(cut)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "cut short" in err
 
     def test_bai_loads_back(self, workspace):
         from repro.io.bai import BaiIndex
@@ -609,21 +620,45 @@ class TestCallIndexAndCache:
         assert rc == 2
         assert "magic" in capsys.readouterr().err
 
-    def test_call_with_truncated_index_errors(self, workspace, tmp_path, capsys):
+    def _call_with_index(self, workspace, tmp_path, index_bytes):
         bam = workspace / "sample.bam"
-        cut = tmp_path / "trunc.rmi"
-        main(["index", str(bam), "--format", "linear", "--out", str(cut)])
-        cut.write_bytes(cut.read_bytes()[:-7])
-        capsys.readouterr()
-        rc = main(
+        index = tmp_path / "bad.bai"
+        index.write_bytes(index_bytes)
+        return main(
             ["call", str(bam),
              "--reference", str(workspace / "ref.fa"),
              "--out", str(tmp_path / "x.vcf"),
-             "--index", str(cut)]
+             "--region", "NC_045512.2-sim:101-800",
+             "--index", str(index)]
         )
-        assert rc == 2
+
+    def test_call_with_truncated_index_errors(self, workspace, tmp_path, capsys):
+        from repro.io.index import build_bai_index
+
+        # Past the optional 8-byte n_no_coor trailer, into the intervals.
+        data = build_bai_index(workspace / "sample.bam").to_bytes()[:-15]
+        capsys.readouterr()
+        assert self._call_with_index(workspace, tmp_path, data) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "truncated" in err
+
+    def test_call_with_negative_count_index_errors(
+        self, workspace, tmp_path, capsys
+    ):
+        """``n_bin = -1`` is corruption: it used to load as an empty
+        index and the region call wrote no calls."""
+        import struct
+
+        from repro.io.index import build_bai_index
+
+        data = bytearray(build_bai_index(workspace / "sample.bam").to_bytes())
+        data[8:12] = struct.pack("<i", -1)  # the first reference's n_bin
+        capsys.readouterr()
+        assert self._call_with_index(workspace, tmp_path, bytes(data)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "negative bin count" in err
 
     def test_cache_blocks_threads_through(self, workspace):
         out = workspace / "calls_cached.vcf"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.io.bam import BamReader, write_bam
 from repro.io.index import build_linear_index
-from repro.io.records import AlignedRead, SamHeader
+from repro.io.records import FLAG_UNMAPPED, AlignedRead, SamHeader
 
 
 @pytest.fixture
@@ -38,6 +38,17 @@ class TestBuild:
         ]
         path = tmp_path / "unsorted.bam"
         write_bam(path, header, reads)
+        with pytest.raises(ValueError, match="unsorted"):
+            build_linear_index(path)
+
+    def test_unsorted_unmapped_placed_rejected(self, tmp_path):
+        """The sortedness check covers every placed record, unmapped
+        ones too (they are not indexed, but BAI files them)."""
+        header = SamHeader(references=[("chr1", 1000)])
+        late = AlignedRead.simple("a", "chr1", 50, "AC", [30, 30])
+        early = AlignedRead("b", FLAG_UNMAPPED, "chr1", 10, 0, [], "AC", [30, 30])
+        path = tmp_path / "unsorted_unmapped.bam"
+        write_bam(path, header, [late, early])
         with pytest.raises(ValueError, match="unsorted"):
             build_linear_index(path)
 
