@@ -266,6 +266,62 @@ def test_builder_bounded_construction_memory():
     assert peaks["legacy_full"] > peaks["legacy_half"] * 1.5, peaks
 
 
+def test_span_path_bounded_construction_memory(tmp_path):
+    """The batched engine's BAM path (``BamSource.batches_for``, records
+    decoded a span at a time) keeps construction memory bounded by
+    ``batch_columns`` windows: doubling the region leaves the traced
+    peak near flat, with the builder test's loose 1.6 factor.
+
+    The source is warmed first (reader, seek index, one pass) and
+    holds one decompressed BGZF block, so the measured peak is the
+    windows' own: record bodies, gathers and deposits.
+    """
+    from conftest import FAST
+
+    from repro.io.regions import Region
+    from repro.pipeline import BamSource
+    from repro.sim.genome import random_genome
+    from repro.sim.reads import ReadSimulator
+
+    length = 3000 if FAST else 6000
+    batch_columns = 256
+    genome = random_genome(length, gc_content=0.5, name="chrSpan", seed=11)
+    sample = ReadSimulator(genome, read_length=100).simulate(
+        depth=40 if FAST else 60, seed=12
+    )
+    bam = tmp_path / "span.bam"
+    with BamWriter(str(bam), sample.header()) as writer:
+        for read in sample.reads():
+            writer.write(read)
+    source = BamSource(
+        bam, genome.sequence, batch_columns=batch_columns, cache_blocks=1
+    )
+    half = Region(genome.name, 0, length // 2)
+    full = Region(genome.name, 0, length)
+
+    def scan(region):
+        def run():
+            for _ in source.batches_for(region):
+                pass
+
+        return run
+
+    scan(full)()  # warm: reader, linear index, one pass
+    peaks = {
+        "span_half": _construction_peak(scan(half)),
+        "span_full": _construction_peak(scan(full)),
+    }
+    _IO_STATS.setdefault("construction_memory", {}).update(
+        {
+            **{k: round(v / 1e6, 3) for k, v in peaks.items()},
+            "span_growth_half_to_full": round(
+                peaks["span_full"] / peaks["span_half"], 2
+            ),
+        }
+    )
+    assert peaks["span_full"] < peaks["span_half"] * 1.6, peaks
+
+
 def test_region_query_block_cache(payload):
     """ISSUE 6 acceptance: repeated region queries against the same
     BGZF file are measurably faster with a warm decompressed-block LRU

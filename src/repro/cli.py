@@ -366,6 +366,7 @@ def _resolve_call_regions(args, references, header_refs):
 
 def _cmd_call(args: argparse.Namespace) -> int:
     from repro.core import CallerConfig
+    from repro.io import FormatError
     from repro.io.bam import BamReader
     from repro.io.fasta import load_reference
     from repro.pileup.engine import DEFAULT_MAX_DEPTH, PileupConfig
@@ -446,7 +447,13 @@ def _cmd_call(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    result = Pipeline(source, config=config, policy=policy, sinks=sinks).run()
+    try:
+        result = Pipeline(
+            source, config=config, policy=policy, sinks=sinks
+        ).run()
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     print(
         f"{len(result.passed)} PASS calls ({len(result.calls)} total) "

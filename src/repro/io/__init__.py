@@ -19,10 +19,13 @@ This subpackage provides the substrate LoFreq gets from htslib:
   sidecars).
 * :mod:`repro.io.vcf` -- variant call output in VCF 4.2.
 * :mod:`repro.io.regions` -- genomic interval parsing and arithmetic.
+* :class:`FormatError` -- the error every BAM record decoder raises on
+  bytes that do not decode (a :class:`ValueError`).
 
 Everything here is pure Python + NumPy; no htslib/pysam dependency.
 """
 
+from repro.io.errors import FormatError
 from repro.io.cigar import (
     CigarOp,
     cigar_to_string,
@@ -59,6 +62,7 @@ __all__ = [
     "FLAG_REVERSE",
     "FLAG_UNMAPPED",
     "FastaRecord",
+    "FormatError",
     "FastqRecord",
     "LinearIndex",
     "MultiContigIndex",

@@ -25,6 +25,8 @@ import enum
 import re
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "CigarOp",
     "CIGAR_OPS",
@@ -37,6 +39,10 @@ __all__ = [
     "aligned_pairs",
     "clip_lengths",
     "validate_cigar",
+    "unpack_cigar",
+    "packed_reference_length",
+    "invalid_cigars",
+    "op_table",
 ]
 
 
@@ -85,6 +91,20 @@ CONSUMES_REFERENCE = frozenset(
 )
 
 Cigar = List[Tuple[CigarOp, int]]
+
+#: Bit ``op`` is set for each operation that consumes reference.
+_REF_MASK = sum(1 << int(op) for op in CONSUMES_REFERENCE)
+
+
+def op_table(ops: Iterable[CigarOp]) -> np.ndarray:
+    """16-entry lookup over BAM's 4-bit op field: True for the codes
+    in ``ops``."""
+    table = np.zeros(16, dtype=bool)
+    table[[int(op) for op in ops]] = True
+    return table
+
+
+_QUERY_TABLE = op_table(CONSUMES_QUERY)
 
 _CIGAR_RE = re.compile(r"(\d+)([MIDNSHP=X])")
 
@@ -218,6 +238,88 @@ def validate_cigar(
             raise ValueError(
                 f"CIGAR consumes {qlen} query bases but SEQ length is {seq_len}"
             )
+
+
+def unpack_cigar(words: Iterable[int]) -> Cigar:
+    """Unpack BAM's packed CIGAR words (``length << 4 | op``) into
+    ``[(op, length), ...]``.
+
+    Raises:
+        ValueError: if an op code is above 8 (``X``); BAM's 4-bit op
+            field allows 15.
+    """
+    out: Cigar = []
+    for word in words:
+        op = word & 0xF
+        if op > CigarOp.X:
+            raise ValueError(f"CIGAR op code {op}")
+        out.append((CigarOp(op), word >> 4))
+    return out
+
+
+def packed_reference_length(words: Iterable[int]) -> int:
+    """:func:`reference_length` of packed CIGAR words, building no
+    pairs (the index builders' per-record walk).
+
+    Raises:
+        ValueError: if an op code is above 8, as :func:`unpack_cigar`.
+    """
+    span = 0
+    for word in words:
+        op = word & 0xF
+        if op > CigarOp.X:
+            raise ValueError(f"CIGAR op code {op}")
+        if _REF_MASK >> op & 1:
+            span += word >> 4
+    return span
+
+
+def invalid_cigars(
+    ops: np.ndarray, lens: np.ndarray, counts: np.ndarray, seq_lens: np.ndarray
+) -> np.ndarray:
+    """:func:`unpack_cigar` and :func:`validate_cigar` over many CIGARs
+    at once, as numpy vectors.
+
+    Args:
+        ops, lens: every CIGAR's op codes (0-15) and lengths, flattened
+            CIGAR after CIGAR.
+        counts: operations per CIGAR.
+        seq_lens: each CIGAR's SEQ length; 0 (no SEQ) leaves the query
+            length unchecked, as :class:`~repro.io.records.AlignedRead`
+            does.
+
+    Returns:
+        One bool per CIGAR: True where unpacking or validating it
+        raises.
+    """
+    bad = np.zeros(counts.size, dtype=bool)
+    if ops.size == 0:
+        return bad
+    first = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=first[1:])
+    owner = np.repeat(np.arange(counts.size), counts)
+    at = np.arange(ops.size) - first[owner]
+    last = counts[owner] - 1
+    first_hard = ops[first[owner]] == CigarOp.H
+    last_hard = ops[first[owner] + last] == CigarOp.H
+    soft_ok = (
+        (at == 0)
+        | ((at == 1) & first_hard)
+        | (at == last)
+        | ((at == last - 1) & last_hard)
+    )
+    broken = (
+        (ops > CigarOp.X)
+        | (lens <= 0)
+        | ((ops == CigarOp.H) & (at != 0) & (at != last))
+        | ((ops == CigarOp.S) & ~soft_ok)
+    )
+    bad[owner[broken]] = True
+    consumed = np.zeros(ops.size + 1, dtype=np.int64)
+    np.cumsum(np.where(_QUERY_TABLE[ops], lens, 0), out=consumed[1:])
+    query = consumed[first + counts] - consumed[first]
+    bad |= (seq_lens > 0) & (counts > 0) & (query != seq_lens)
+    return bad
 
 
 def collapse(cigar: Iterable[Tuple[CigarOp, int]]) -> Cigar:

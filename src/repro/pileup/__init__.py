@@ -13,10 +13,11 @@ is the equivalent of ``samtools mpileup``:
   coordinate-sorted reads, with flag/quality filtering and the depth
   cap (LoFreq defaults to 1,000,000 -- see Table I's footnote); plus
   the batch-emitting sweep :func:`pileup_batches`.
-* :mod:`repro.pileup.vectorized` -- bulk columnar construction from
-  read matrices and CIGAR-aware alignments, plus the incremental
-  bounded-memory :class:`ColumnBatchBuilder` (the streaming source
-  spine: construction memory is one flush window, not one chunk).
+* :mod:`repro.pileup.vectorized` -- bulk columnar construction: the
+  counting and stable-sort deposit kernels behind read matrices, raw
+  BAM record spans and the incremental bounded-memory
+  :class:`ColumnBatchBuilder` for alignment streams (construction
+  memory is one window, not one chunk).
 """
 
 from repro.pileup.column import (

@@ -24,7 +24,7 @@ actually touches :attr:`ColumnBatch.reverse` / :attr:`ColumnBatch.mapqs`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -380,6 +380,19 @@ class ColumnBatch:
             n_capped=self.n_capped[lo:hi],
             **plane_kwargs,
         )
+
+    def split(self, cap: Optional[int]) -> List["ColumnBatch"]:
+        """This batch as work units of at most ``cap`` columns
+        (:meth:`slice_columns` pieces, planes still lazy): none when
+        empty, the batch itself when it fits or ``cap`` is ``None``."""
+        n = self.n_columns
+        if n == 0:
+            return []
+        if cap is None or n <= cap:
+            return [self]
+        return [
+            self.slice_columns(lo, min(lo + cap, n)) for lo in range(0, n, cap)
+        ]
 
     @classmethod
     def empty(cls, chrom: str) -> "ColumnBatch":

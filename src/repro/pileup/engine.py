@@ -16,7 +16,14 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.io.cigar import CONSUMES_QUERY, CONSUMES_REFERENCE, CigarOp
-from repro.io.records import AlignedRead
+from repro.io.records import (
+    FLAG_DUPLICATE,
+    FLAG_QCFAIL,
+    FLAG_SECONDARY,
+    FLAG_SUPPLEMENTARY,
+    FLAG_UNMAPPED,
+    AlignedRead,
+)
 from repro.io.regions import Region
 from repro.pileup.column import BASE_TO_CODE, N_CODE, ColumnBatch, PileupColumn
 
@@ -57,21 +64,24 @@ class PileupConfig:
         if self.min_baseq < 0 or self.min_mapq < 0:
             raise ValueError("quality thresholds must be non-negative")
 
+    @property
+    def excluded_flags(self) -> int:
+        """SAM flag bits that drop a read: unmapped always; secondary,
+        supplementary, duplicate and QC-fail unless included."""
+        flags = FLAG_UNMAPPED
+        if not self.include_secondary:
+            flags |= FLAG_SECONDARY | FLAG_SUPPLEMENTARY
+        if not self.include_duplicates:
+            flags |= FLAG_DUPLICATE
+        if not self.include_qcfail:
+            flags |= FLAG_QCFAIL
+        return flags
+
     def read_passes(self, read: AlignedRead) -> bool:
         """Read-level filters (flag and mapping quality)."""
-        if read.is_unmapped:
-            return False
-        if read.mapq < self.min_mapq:
-            return False
-        if not self.include_secondary and (
-            read.is_secondary or read.is_supplementary
-        ):
-            return False
-        if not self.include_duplicates and read.is_duplicate:
-            return False
-        if not self.include_qcfail and read.is_qcfail:
-            return False
-        return True
+        return not read.flag & self.excluded_flags and (
+            read.mapq >= self.min_mapq
+        )
 
 
 class _ColumnAccumulator:
@@ -246,10 +256,13 @@ def _deposit(
     cfg: PileupConfig,
     acc: Dict[int, _ColumnAccumulator],
 ) -> None:
-    """Walk the CIGAR and add each aligned base to its accumulator."""
+    """Walk the CIGAR and add each aligned base to its accumulator (a
+    read without SEQ, ``*``, has none)."""
+    seq = read.seq
+    if not seq:
+        return
     qi = 0
     ri = read.pos
-    seq = read.seq
     qual = read.qual
     rev = read.is_reverse
     mapq = read.mapq

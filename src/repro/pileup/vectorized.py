@@ -3,38 +3,61 @@
 The streaming engine (:mod:`repro.pileup.engine`) deposits one base at
 a time, which is faithful to htslib's pileup loop but slow in Python at
 the paper's depths.  Here the entire pileup of a region is instead
-built with a handful of array operations: flatten all (position, base,
-qual, strand) observations, mask, stable-sort by position, and record
-column boundaries as offsets -- a structure-of-arrays
+built with a handful of array operations, into a structure-of-arrays
 :class:`~repro.pileup.column.ColumnBatch` whose per-column
 :class:`~repro.pileup.column.PileupColumn` views slice the flat arrays
 without copying.
 
-Three producers share that core:
+Two deposit kernels build every batch:
+
+* the *counting deposit* (:func:`pileup_batch_from_arrays`): reads of
+  one ungapped length with sorted starts, whose stable
+  sort-by-position permutation is computed rather than searched for;
+* the *stable-sort deposit*: flat per-base arrays in read order,
+  masked and stable-sorted by position (gapped, clipped or
+  mixed-length reads, and unsorted matrices).
+
+Three producers feed them:
 
 * :func:`pileup_batch_from_arrays` / :func:`pileup_sample_batch` --
-  the ungapped read-matrix representation of
+  the read-matrix representation of
   :class:`repro.sim.reads.ReadSimulator` samples;
-* :func:`pileup_batch_from_reads` -- CIGAR-aware alignments (BAM/SAM
-  records), whose aligned bases are decoded straight into flat arrays
-  by :func:`repro.io.bam.aligned_base_arrays` instead of one
-  interpreter round-trip per base.
+* :func:`pileup_batch_from_records` -- raw BAM records, decoded a
+  span at a time by :class:`repro.io.bam.RecordSpan` with no
+  :class:`~repro.io.records.AlignedRead` built: a window whose reads
+  are all ungapped and of one length takes the counting deposit, any
+  other the stable-sort deposit (the batched engine's BAM path,
+  :meth:`repro.pipeline.BamSource.batches_for`);
+* :class:`ColumnBatchBuilder` / :func:`pileup_batch_from_reads` --
+  :class:`~repro.io.records.AlignedRead` streams (SAM, in-memory
+  reads), each read's aligned bases from
+  :func:`repro.io.bam.aligned_base_arrays`.
 
-The test suite checks all paths produce columns identical to the
-streaming engine; benchmarks use these so that -- as in the C original
--- the probability computation, not Python pileup overhead, dominates
-the measured runtimes.
+Both kernels defer the strand/mapq planes (the screen reads only codes
+and qualities).  The test suite checks every path produces columns
+identical to the streaming engine; benchmarks use these so that -- as
+in the C original -- the probability computation, not Python pileup
+overhead, dominates the measured runtimes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.io.records import AlignedRead
+from repro.io.bam import SEQ_NIBBLES, RecordSpan
+from repro.io.records import FLAG_REVERSE, AlignedRead
 from repro.io.regions import Region
-from repro.pileup.column import ColumnBatch, PileupColumn
+from repro.pileup.column import SEQ_CODE_LUT, ColumnBatch, PileupColumn
 from repro.pileup.engine import BATCH_SWEEP_COLUMNS, PileupConfig
 
 __all__ = [
@@ -42,7 +65,7 @@ __all__ = [
     "iter_pileup_batches",
     "pileup_batch_from_arrays",
     "pileup_batch_from_reads",
-    "pileup_from_arrays",
+    "pileup_batch_from_records",
     "pileup_sample",
     "pileup_sample_batch",
 ]
@@ -53,6 +76,12 @@ __all__ = [
 #: engine's internal slice size so one flushed batch feeds one
 #: vectorised screening pass.
 BUILDER_BATCH_COLUMNS = BATCH_SWEEP_COLUMNS
+
+#: BAM sequence nibble -> base code: the nibble's character through
+#: ``BASE_TO_CODE.get(char, N_CODE)``, as for a decoded read.
+_NIBBLE_CODES = SEQ_CODE_LUT[
+    np.frombuffer(SEQ_NIBBLES.encode("ascii"), dtype=np.uint8)
+]
 
 
 def _ref_bases_at(reference: str, positions: np.ndarray) -> str:
@@ -230,11 +259,21 @@ def pileup_batch_from_arrays(
             return ColumnBatch.empty(region.chrom)
         mapq_reads = np.minimum(mapq_arr, 255).astype(np.uint8)
     if np.any(starts[1:] < starts[:-1]):
-        # Unsorted input loses the counting-deposit structure; fall
-        # back to a general stable sort of the flattened matrix.
-        return _batch_from_arrays_sorted(
-            starts, codes, quals, reverse, reference, region, cfg,
-            mapq if mapq_reads is None else 0, mapq_reads,
+        # Unsorted input loses the counting-deposit structure; the
+        # flattened matrix goes through the stable-sort deposit.
+        if mapq_reads is None:
+            mapq_reads = np.full(n, min(mapq, 255), dtype=np.uint8)
+        return _sorted_deposit(
+            region.chrom,
+            (starts[:, None] + np.arange(rl)[None, :]).ravel(),
+            codes.ravel(),
+            quals.ravel(),
+            np.full(n, rl, dtype=np.int64),
+            reverse,
+            mapq_reads,
+            reference,
+            cfg,
+            window=region,
         )
 
     # Counting deposit: because every read spans exactly rl contiguous
@@ -271,151 +310,214 @@ def pileup_batch_from_arrays(
     dest = windows[starts_r - span_lo]
     dest += np.arange(nr, dtype=idx_dtype)[:, None]
     dest = dest.reshape(-1)
-    # Deposit by direct scatter.  Base code (3 bits) and strand (1
-    # bit) share one byte so the whole deposit is two single-byte
-    # scatters, which stay cache-resident where a permutation index
-    # would not.
+    # Deposit by direct single-byte scatters, which stay
+    # cache-resident where a permutation index would not.
     q_sorted = np.empty(m, dtype=np.uint8)
     q_sorted[dest] = quals[i_lo:i_hi].reshape(-1)
-    packed = codes[i_lo:i_hi] | (
-        reverse[i_lo:i_hi].astype(np.uint8) << np.uint8(3)
-    )[:, None]
-    p_sorted = np.empty(m, dtype=np.uint8)
-    p_sorted[dest] = packed.reshape(-1)
-    c_sorted = p_sorted & np.uint8(7)
-    r_sorted = p_sorted >= 8
-    pos_sorted = np.repeat(grid, np.diff(col_start))
-    if mapq_reads is None:
-        m_sorted = None
-    else:
-        # Per-read mapq: one extra single-byte scatter through the
-        # same computed permutation.
-        m_sorted = np.empty(m, dtype=np.uint8)
-        m_sorted[dest] = np.repeat(mapq_reads[i_lo:i_hi], rl)
+    c_sorted = np.empty(m, dtype=np.uint8)
+    c_sorted[dest] = codes[i_lo:i_hi].reshape(-1)
+    depth = np.diff(col_start)
 
     # The region clip is a slice of the sorted axis, not a mask.
-    a = int(col_start[region.start - span_lo]) if region.start > span_lo else 0
-    b = int(col_start[region.end - span_lo]) if region.end < span_hi else m
-    pos_sorted = pos_sorted[a:b]
+    p0 = max(region.start - span_lo, 0)
+    p1 = min(region.end - span_lo, grid.size)
+    a = int(col_start[p0])
+    b = int(col_start[p1])
+    pos_sorted = np.repeat(grid[p0:p1], depth[p0:p1])
     q_sorted = q_sorted[a:b]
     c_sorted = c_sorted[a:b]
-    r_sorted = r_sorted[a:b]
-    if m_sorted is not None:
-        m_sorted = m_sorted[a:b]
     if pos_sorted.size == 0:
         return ColumnBatch.empty(region.chrom)
 
+    keep: Optional[np.ndarray] = None
     if cfg.min_baseq > 0:
-        keep = q_sorted >= cfg.min_baseq
-        if not keep.all():
+        passed = q_sorted >= cfg.min_baseq
+        if not passed.all():
+            keep = passed
             pos_sorted = pos_sorted[keep]
             q_sorted = q_sorted[keep]
             c_sorted = c_sorted[keep]
-            r_sorted = r_sorted[keep]
-            if m_sorted is not None:
-                m_sorted = m_sorted[keep]
             if pos_sorted.size == 0:
                 return ColumnBatch.empty(region.chrom)
-    if m_sorted is None:
-        m_sorted = np.full(pos_sorted.size, min(mapq, 255), dtype=np.uint8)
+    rev_reads = reverse[i_lo:i_hi]
+    mapq_rows = None if mapq_reads is None else mapq_reads[i_lo:i_hi]
+    mapq_all = min(mapq, 255) if mapq_reads is None else 0
+    base_cols = base[p0:p1]
+    depth_cols = depth[p0:p1]
+
+    def planes() -> Tuple[np.ndarray, np.ndarray]:
+        """Deferred strand/mapq planes: sorted slot k of column p holds
+        read k - base[p], so each plane is one gather."""
+        rows = np.arange(a, b, dtype=idx_dtype)
+        rows -= np.repeat(base_cols, depth_cols)
+        if keep is not None:
+            rows = rows[keep]
+        if mapq_rows is None:
+            mapqs = np.full(rows.size, mapq_all, dtype=np.uint8)
+        else:
+            mapqs = mapq_rows[rows]
+        return rev_reads[rows], mapqs
+
     return _batch_from_flat(
         region.chrom,
         pos_sorted,
         c_sorted,
         q_sorted,
-        r_sorted,
-        m_sorted,
+        None,
+        None,
         reference,
         cfg,
+        planes=planes,
     )
 
 
-def _batch_from_arrays_sorted(
-    starts: np.ndarray,
+def _stable_order(positions: np.ndarray) -> np.ndarray:
+    """``np.argsort(positions, kind="stable")``, on 16-bit keys when the
+    positions span fewer than 65536 (numpy radix-sorts those in linear
+    time; a window of at most ``batch_columns`` positions always does
+    at the default)."""
+    lo = int(positions.min())
+    if int(positions.max()) - lo < 1 << 16:
+        positions = (positions - lo).astype(np.uint16)
+    return np.argsort(positions, kind="stable")
+
+
+def _sorted_deposit(
+    chrom: str,
+    positions: np.ndarray,
     codes: np.ndarray,
     quals: np.ndarray,
+    counts: np.ndarray,
     reverse: np.ndarray,
+    mapqs: np.ndarray,
     reference: str,
-    region: Region,
     cfg: PileupConfig,
-    mapq: int,
-    mapq_reads: Optional[np.ndarray] = None,
+    *,
+    window: Optional[Region] = None,
 ) -> ColumnBatch:
-    """General fallback for unsorted read matrices: flatten, mask and
-    stable-sort by position (the pre-counting-deposit construction).
-    ``mapq_reads`` (uint8, one per read, already min_mapq-filtered)
-    overrides the constant ``mapq`` when given."""
-    n, rl = codes.shape
-    positions = (starts[:, None] + np.arange(rl)[None, :]).ravel()
-    flat_codes = codes.ravel()
-    flat_quals = quals.ravel()
-    flat_rev = np.repeat(reverse, rl)
-    flat_mapqs = (
-        None if mapq_reads is None else np.repeat(mapq_reads, rl)
-    )
+    """The stable-sort deposit: flat per-base arrays, read after read
+    in deposit order (``counts`` bases per read; ``reverse`` and
+    ``mapqs`` one value per read), to one batch.
 
-    mask = (
-        (positions >= region.start)
-        & (positions < region.end)
-        & (flat_quals >= cfg.min_baseq)
-    )
-    positions = positions[mask]
-    flat_codes = flat_codes[mask]
-    flat_quals = flat_quals[mask]
-    flat_rev = flat_rev[mask]
-    if flat_mapqs is not None:
-        flat_mapqs = flat_mapqs[mask]
+    Masks ``min_baseq`` (and ``window``, when given), stable-sorts by
+    position -- so within a column bases keep the streaming deposit
+    order and the depth cap drops exactly the same reads -- and defers
+    the strand/mapq scatters into a lazy planes thunk.
+    """
+    mask = quals >= cfg.min_baseq
+    if window is not None:
+        mask &= (positions >= window.start) & (positions < window.end)
+    all_in = bool(mask.all())
+    if not all_in:
+        positions = positions[mask]
+        codes = codes[mask]
+        quals = quals[mask]
     if positions.size == 0:
-        return ColumnBatch.empty(region.chrom)
+        return ColumnBatch.empty(chrom)
 
-    order = np.argsort(positions, kind="stable")
-    if flat_mapqs is None:
-        flat_mapqs = np.full(positions.size, min(mapq, 255), dtype=np.uint8)
-    else:
-        flat_mapqs = flat_mapqs[order]
+    order = _stable_order(positions)
+
+    def planes() -> Tuple[np.ndarray, np.ndarray]:
+        """Deferred strand/mapq scatters for this deposit."""
+        rev = np.repeat(reverse, counts)
+        mqs = np.repeat(mapqs, counts)
+        if not all_in:
+            rev = rev[mask]
+            mqs = mqs[mask]
+        return rev[order], mqs[order]
+
     return _batch_from_flat(
-        region.chrom,
+        chrom,
         positions[order],
-        flat_codes[order],
-        flat_quals[order],
-        flat_rev[order],
-        flat_mapqs,
+        codes[order],
+        quals[order],
+        None,
+        None,
         reference,
         cfg,
+        planes=planes,
     )
 
 
-def pileup_from_arrays(
-    starts: np.ndarray,
-    codes: np.ndarray,
-    quals: np.ndarray,
-    reverse: np.ndarray,
+def pileup_batch_from_records(
+    span: RecordSpan,
+    rows: np.ndarray,
     reference: str,
-    region: Region,
+    window: Region,
     config: Optional[PileupConfig] = None,
-    *,
-    mapq: Union[int, np.ndarray] = 60,
-) -> Iterator[PileupColumn]:
-    """Yield pileup columns from an ``(n, read_length)`` read matrix.
+) -> Tuple[ColumnBatch, np.ndarray]:
+    """One window's batch straight from raw BAM records.
 
-    Compatibility view over :func:`pileup_batch_from_arrays` (same
-    arguments and semantics): the columns are zero-copy views into the
-    underlying batch, yielded in increasing position order.
+    The records were decoded together by
+    :class:`~repro.io.bam.RecordSpan` -- one buffer, numpy gathers, no
+    :class:`~repro.io.records.AlignedRead` -- and are deposited under
+    the read-level rules of :meth:`ColumnBatchBuilder.add_read`: the
+    flag and mapping-quality filters, reads ending at or before the
+    window skipped, a read without SEQ depositing nothing, all-``0xff``
+    qualities reading as 0.  If every kept read is ungapped (one
+    ``M``, ``=`` or ``X`` operation) and all have one length, the
+    window goes through the counting deposit of
+    :func:`pileup_batch_from_arrays`; otherwise through the
+    stable-sort deposit.  Either way the columns equal the streaming
+    engine's.
+
+    Args:
+        span: the decoded records, each one
+            :func:`repro.io.bam.decode_record` accepts (see
+            :meth:`~repro.io.bam.RecordSpan.check`).
+        rows: the window's candidate reads, as indices into ``span``
+            in file order: mapped reads on ``window.chrom`` with
+            non-decreasing positions.
+        reference: reference sequence for ``window.chrom``.
+        window: the interval whose columns to build.
+        config: pileup filtering parameters.
+
+    Returns:
+        ``(batch, rest)``: the window's batch (possibly empty) and, in
+        order, the rows of the kept reads reaching past
+        ``window.end`` -- the next window's carry.
     """
-    batch = pileup_batch_from_arrays(
-        starts, codes, quals, reverse, reference, region, config, mapq=mapq
-    )
-    return batch.columns()
+    cfg = config or PileupConfig()
+    live = rows[
+        ((span.flag[rows] & cfg.excluded_flags) == 0)
+        & (span.mapq[rows] >= cfg.min_mapq)
+        & (span.l_seq[rows] > 0)
+    ]
+    rest = live[span.ref_end[live] > window.end]
+    live = live[span.ref_end[live] > window.start]
+    if live.size == 0:
+        return ColumnBatch.empty(window.chrom), rest
+    reverse = (span.flag[live] & FLAG_REVERSE) != 0
+    length = span.l_seq[live]
+    rl = int(length[0])
+    if span.ungapped[live].all() and bool((length == rl).all()):
+        codes, quals = span.bases(live, rl, _NIBBLE_CODES)
+        batch = pileup_batch_from_arrays(
+            span.pos[live], codes, quals, reverse, reference, window, cfg,
+            mapq=span.mapq[live],
+        )
+    else:
+        positions, codes, quals, counts = span.aligned_bases(
+            live, _NIBBLE_CODES, window.start, window.end
+        )
+        batch = _sorted_deposit(
+            window.chrom, positions, codes, quals, counts, reverse,
+            span.mapq[live], reference, cfg,
+        )
+    return batch, rest
 
 
 class ColumnBatchBuilder:
-    """Incremental, bounded-memory columnar pileup construction.
+    """Incremental, bounded-memory columnar pileup construction from
+    :class:`~repro.io.records.AlignedRead` values (SAM or in-memory
+    reads; a BAM file skips the per-read objects through
+    :func:`pileup_batch_from_records`, with the same windows).
 
-    Reads arrive one at a time in coordinate order (the order a sorted
-    BAM yields them); each read's aligned bases are deposited as flat
-    per-read *segment arrays* -- no per-base Python lists anywhere --
-    and, because every later read starts at or after the current one,
-    all columns strictly left of the newest read's start are complete.
+    Reads arrive one at a time in coordinate order; each read's
+    aligned bases are deposited as flat per-read *segment arrays* -- no
+    per-base Python lists anywhere -- and, because every later read
+    starts at or after the current one, all columns strictly left of
+    the newest read's start are complete.
     As soon as the scan passes ``batch_columns`` reference positions,
     the completed window is assembled into a
     :class:`~repro.pileup.column.ColumnBatch` and emitted (sliced
@@ -530,48 +632,11 @@ class ColumnBatchBuilder:
         self._deposit(positions, codes, quals, read.is_reverse, read.mapq)
         return out
 
-    def add(
-        self,
-        positions: np.ndarray,
-        codes: np.ndarray,
-        quals: np.ndarray,
-        reverse: bool,
-        mapq: int,
-    ) -> List[ColumnBatch]:
-        """Deposit one pre-decoded read (sorted aligned positions plus
-        parallel uint8 base codes / Phred qualities, a strand flag and
-        a mapping quality); return any batches it completed.
-
-        The caller is responsible for read-level filtering; reads must
-        arrive sorted by their first aligned position.
-
-        Raises:
-            ValueError: if the input violates coordinate sorting, or
-                the builder was already finished.
-        """
-        if self._finished:
-            raise ValueError("builder already finished")
-        if positions.size == 0:
-            return []
-        start = int(positions[0])
-        if start < self._last_read_pos:
-            raise ValueError(
-                f"reads are not coordinate-sorted: read at {start} "
-                f"after {self._last_read_pos}"
-            )
-        self._last_read_pos = start
-        if start >= self.region.end:
-            self.done = True
-            return []
-        out = self._maybe_flush(start)
-        self._deposit(positions, codes, quals, reverse, mapq)
-        return out
-
     def finish(self) -> List[ColumnBatch]:
         """Flush everything still pending and seal the builder.
 
         Returns the final batches (possibly empty).  Idempotent; any
-        further :meth:`add_read` / :meth:`add` raises.
+        further :meth:`add_read` raises.
         """
         if self._finished:
             return []
@@ -670,78 +735,18 @@ class ColumnBatchBuilder:
         self._flush_from = bound
         if not win_pos:
             return []
-        batch = _assemble_window(
+        batch = _sorted_deposit(
             self.region.chrom,
-            win_pos,
-            win_codes,
-            win_quals,
-            win_rev,
-            win_mapq,
+            np.concatenate(win_pos),
+            np.concatenate(win_codes),
+            np.concatenate(win_quals),
+            np.array([p.size for p in win_pos], dtype=np.int64),
+            np.array(win_rev, dtype=bool),
+            np.array(win_mapq, dtype=np.uint8),
             self.reference,
             self.config,
         )
-        cap = self.batch_columns
-        n = batch.n_columns
-        if n == 0:
-            return []
-        if cap is None or n <= cap:
-            return [batch]
-        return [
-            batch.slice_columns(lo, min(lo + cap, n))
-            for lo in range(0, n, cap)
-        ]
-
-
-def _assemble_window(
-    chrom: str,
-    pos_parts: List[np.ndarray],
-    code_parts: List[np.ndarray],
-    qual_parts: List[np.ndarray],
-    rev_flags: List[bool],
-    mapq_vals: List[int],
-    reference: str,
-    cfg: PileupConfig,
-) -> ColumnBatch:
-    """One window's segments -> one batch: concatenate in read-arrival
-    order, mask ``min_baseq``, stable-sort by position (preserving the
-    streaming deposit order within each column), defer the strand/mapq
-    scatters into a lazy planes thunk."""
-    positions = np.concatenate(pos_parts)
-    flat_codes = np.concatenate(code_parts)
-    flat_quals = np.concatenate(qual_parts)
-    counts = np.array([p.size for p in pos_parts], dtype=np.int64)
-
-    mask = flat_quals >= cfg.min_baseq
-    all_in = bool(mask.all())
-    if not all_in:
-        positions = positions[mask]
-        flat_codes = flat_codes[mask]
-        flat_quals = flat_quals[mask]
-    if positions.size == 0:
-        return ColumnBatch.empty(chrom)
-
-    order = np.argsort(positions, kind="stable")
-
-    def planes() -> Tuple[np.ndarray, np.ndarray]:
-        """Deferred strand/mapq scatters for this window."""
-        rev = np.repeat(np.array(rev_flags, dtype=bool), counts)
-        mqs = np.repeat(np.array(mapq_vals, dtype=np.uint8), counts)
-        if not all_in:
-            rev = rev[mask]
-            mqs = mqs[mask]
-        return rev[order], mqs[order]
-
-    return _batch_from_flat(
-        chrom,
-        positions[order],
-        flat_codes[order],
-        flat_quals[order],
-        None,
-        None,
-        reference,
-        cfg,
-        planes=planes,
-    )
+        return batch.split(self.batch_columns)
 
 
 def iter_pileup_batches(

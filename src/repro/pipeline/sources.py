@@ -44,8 +44,11 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as np
+
 from repro.core.results import IO_COUNTERS
-from repro.io.records import AlignedRead
+from repro.io.errors import FormatError
+from repro.io.records import FLAG_UNMAPPED, AlignedRead
 from repro.io.regions import Region
 from repro.parallel.trace import Category, Tracer
 from repro.pileup.column import ColumnBatch, PileupColumn
@@ -72,6 +75,16 @@ DEFAULT_BATCH_COLUMNS = 16384
 
 #: Every BGZF reader counter :meth:`BamSource.io_stats` sums.
 _READER_COUNTERS = IO_COUNTERS + ("blocks_read", "time_decompress")
+
+#: Where a record read by a :class:`BamSource` seek plan sits relative
+#: to the chunk: on its contig before its end, on an earlier contig, or
+#: where the scan stops.
+_KEEP, _SKIP, _STOP = range(3)
+
+#: Records the batch stream reads between decode checks while no window
+#: read is pending (a plan crossing other contigs), bounding what they
+#: hold.
+_CHECK_RECORDS = 4096
 
 
 def _validate_batch_columns(batch_columns: Optional[int]) -> Optional[int]:
@@ -563,19 +576,26 @@ class BamSource:
             chunk.chrom, chunk.start, chunk.end
         )
 
-    def _iter_records(self, reader, chunk: Region, plan):
-        """``chunk``'s records in file order, driven by the seek plan.
+    def _plan_records(self, reader, chunk: Region, plan):
+        """Every record ``chunk``'s seek plan reads, in file order, as
+        ``(where, vbegin, body, core)`` from
+        :func:`repro.io.bam.walk_bodies`: ``where`` is :data:`_KEEP`
+        for a record on the chunk's contig before ``chunk.end``,
+        :data:`_SKIP` for one on an earlier contig, and :data:`_STOP`
+        for the record that ends the scan (a later contig, an unplaced
+        record, or one at or past ``chunk.end``), which comes last.
 
         The rewind plan streams from the first record; a chunk-list
         plan seeks to each range's start and stops at its end (ranges
         whose ``vend`` is :data:`~repro.io.index.MAX_VOFFSET` are
-        open-ended, so the per-record ``tell()`` bound check is
-        skipped -- the linear indexes' plans cost exactly what the old
-        single-offset seek did).  Position/contig filtering is
-        identical in both modes, which is what keeps every index
-        flavour byte-identical: plans may cover extra records, but
-        only records overlapping ``chunk`` survive the filters.
+        open-ended -- the linear indexes' plans cost exactly what a
+        single-offset seek does).  EOF ends the whole plan.  Plans may
+        cover extra records, but only records overlapping ``chunk``
+        survive the pileup's filters, which is what keeps every index
+        flavour byte-identical.  This walk is shared by both engines'
+        streams, so they read exactly the same records.
         """
+        from repro.io.bam import walk_bodies
         from repro.io.index import MAX_VOFFSET
 
         chunk_rank = self._rank.get(chunk.chrom)
@@ -583,36 +603,51 @@ class BamSource:
             raise ValueError(
                 f"contig {chunk.chrom!r} is not in the BAM header"
             )
+        # Where each refID's records sit relative to the chunk, indexed
+        # by refID + 1 (refID -1, unplaced, sorts after every contig).
+        place = [_STOP] + [
+            _KEEP
+            if name == chunk.chrom
+            else (_STOP if self._rank[name] > chunk_rank else _SKIP)
+            for name, _ in self.contigs
+        ]
         if plan is self._REWIND:
             reader.rewind()
             spans = [None]
         else:
             spans = plan
+        end = chunk.end
         for span in spans:
+            stop = MAX_VOFFSET
             if span is not None:
                 reader.seek(span.vbegin)
-                bounded = span.vend < MAX_VOFFSET
-            else:
-                bounded = False
-            while True:
-                if bounded and reader.tell() >= span.vend:
-                    break  # past this range; try the plan's next one
-                rec = reader.read_record()
-                if rec is None:
-                    return
-                if rec.rname != chunk.chrom:
-                    # Sorted BAM: a later contig means we are done; an
-                    # earlier one (only possible after a rewind) is
-                    # skipped until our contig's block starts.
-                    if (
-                        self._rank.get(rec.rname, len(self._rank))
-                        > chunk_rank
-                    ):
-                        return
+                stop = span.vend
+                if reader.tell() >= stop:
                     continue
-                if rec.pos >= chunk.end:
+            for vbegin, vend, body, core in walk_bodies(reader):
+                where = place[core[0] + 1]
+                if where == _KEEP and core[1] >= end:
+                    where = _STOP
+                yield where, vbegin, body, core
+                if where == _STOP:
                     return
-                yield rec
+                if vend >= stop:
+                    break  # past this range; try the plan's next one
+            else:
+                return  # EOF
+
+    def _iter_records(self, reader, chunk: Region, plan):
+        """``chunk``'s records as :class:`~repro.io.records.AlignedRead`
+        (the streaming engine's input): every record the plan reads is
+        decoded, so a malformed one raises
+        :class:`~repro.io.errors.FormatError` wherever it sits."""
+        from repro.io.bam import decode_record_at
+
+        header = reader.header
+        for where, vbegin, body, _ in self._plan_records(reader, chunk, plan):
+            read = decode_record_at(body, header, vbegin)
+            if where == _KEEP:
+                yield read
 
     def _timed_pulls(self, reader, inner, trc: Tracer, worker: int):
         """Drive a lazy per-chunk stream (columns or batches) one pull
@@ -689,22 +724,95 @@ class BamSource:
         yield from self._timed_pulls(reader, inner, trc, worker)
 
     def _stream_batches(self, reader, chunk: Region, plan):
-        """The untimed inner generator behind :meth:`batches_for`:
-        stream the seek plan's records through a
-        :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, yielding
-        each completed window's batches as soon as the scan passes
-        them."""
-        from repro.pileup.vectorized import ColumnBatchBuilder
+        """The untimed inner generator behind :meth:`batches_for`.
 
-        builder = ColumnBatchBuilder(
-            self._reference_for(chunk.chrom),
-            chunk,
-            self.pileup_config,
-            batch_columns=self.batch_columns,
-        )
-        for rec in self._iter_records(reader, chunk, plan):
-            yield from builder.add_read(rec)
-        yield from builder.finish()
+        Each record passes only through the fixed-field walk here;
+        when the scan has moved ``batch_columns`` positions past the
+        last window (the :class:`~repro.pileup.vectorized.ColumnBatchBuilder`
+        flush rule), the records read since the last window and the
+        reads carried over from it are decoded as one
+        :class:`~repro.io.bam.RecordSpan`, which serves both the
+        decode check and
+        :func:`~repro.pileup.vectorized.pileup_batch_from_records`;
+        the reads still reaching past the window carry into the next.
+        Before anything that follows a record becomes visible -- a
+        batch, the coordinate-sort error, the end of the stream -- every
+        record read so far is checked against
+        :func:`~repro.io.bam.decode_record`
+        (:meth:`~repro.io.bam.RecordSpan.check`), so a malformed record
+        raises the same error at the same point as in
+        :meth:`columns_for`.
+        """
+        from repro.io.bam import RecordSpan
+        from repro.pileup.vectorized import pileup_batch_from_records
+
+        header = reader.header
+        reference = self._reference_for(chunk.chrom)
+        config = self.pileup_config
+        cap = self.batch_columns
+        carry: List[bytes] = []  # checked reads reaching past the last window
+        seen: List[bytes] = []  # every record read since the last check
+        seen_at: List[int] = []
+        kept: List[int] = []  # the window's reads, as indices into seen
+        flush_from = chunk.start
+        last_pos = -1
+
+        def check() -> None:
+            """Raise the first decode error among the records read
+            since the last check."""
+            RecordSpan(seen).check(header, seen_at)
+            seen.clear()
+            seen_at.clear()
+
+        def flush(end: int) -> ColumnBatch:
+            """Check the records read since the last window and build
+            the window ``[flush_from, end)`` from one span."""
+            nonlocal carry, flush_from
+            span = RecordSpan(carry + seen)
+            span.check(header, seen_at, first=len(carry))
+            rows = np.concatenate(
+                [np.arange(len(carry)), np.add(kept, len(carry))]
+            ).astype(np.int64)
+            batch, rest = pileup_batch_from_records(
+                span, rows, reference, Region(chunk.chrom, flush_from, end),
+                config,
+            )
+            carry = [span.bodies[j] for j in rest]
+            seen.clear()
+            seen_at.clear()
+            kept.clear()
+            flush_from = end
+            return batch
+
+        try:
+            for where, vbegin, body, core in self._plan_records(
+                reader, chunk, plan
+            ):
+                seen.append(body)
+                seen_at.append(vbegin)
+                if where != _KEEP or core[6] & FLAG_UNMAPPED:
+                    if not kept and len(seen) >= _CHECK_RECORDS:
+                        check()
+                    continue
+                pos = core[1]
+                if pos < last_pos:
+                    check()
+                    qname = body[32 : 31 + core[2]].decode("ascii")
+                    raise ValueError(
+                        f"reads are not coordinate-sorted: {qname} at "
+                        f"{pos} after {last_pos}"
+                    )
+                last_pos = pos
+                # Kept before the flush, so one span checks it; it
+                # starts at the window's end, deposits nothing there
+                # and carries into the next window.
+                kept.append(len(seen) - 1)
+                if cap is not None and pos - flush_from >= cap:
+                    yield from flush(pos).split(cap)
+        except FormatError:
+            check()  # a record read before the bad one fails first
+            raise
+        yield from flush(chunk.end).split(cap)
 
     def batches_for(
         self,
@@ -714,18 +822,22 @@ class BamSource:
     ) -> Iterable[ColumnBatch]:
         """The chunk as a lazy stream of bounded batch work units.
 
-        The columnar deposit path, now incremental: each record's
-        aligned bases are decoded straight into flat arrays
-        (:func:`repro.io.bam.aligned_base_arrays`) and deposited into
-        a :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, which
-        flushes a :class:`~repro.pileup.column.ColumnBatch` of at most
-        ``batch_columns`` columns as soon as the scan passes its last
-        column -- no per-base tuples, no per-column objects, and **no
-        whole-chunk flat arrays**: peak construction memory is one
-        flush window regardless of how large (or unchunked) the
-        region is.  Flushed windows wider than ``batch_columns``
-        (sparse coverage) are sliced into zero-copy sub-batches with
-        strand/mapq laziness preserved.
+        The batched engine's BAM path decodes a span of records at a
+        time, with no :class:`~repro.io.records.AlignedRead` built:
+        the fixed-field walk collects a window's record bodies, then
+        :func:`repro.pileup.vectorized.pileup_batch_from_records`
+        expands their sequence nibbles and qualities by numpy gathers
+        over one buffer and deposits them -- through the counting
+        deposit when every read in the window is ungapped and of one
+        length, the stable-sort deposit otherwise.  A window closes
+        as soon as the scan passes ``batch_columns`` positions, so
+        peak construction memory is one window's reads regardless of
+        how large (or unchunked) the region is, and each
+        :class:`~repro.pileup.column.ColumnBatch` holds at most
+        ``batch_columns`` columns (wider windows are sliced zero-copy,
+        strand/mapq planes still lazy).  Columns equal
+        :meth:`columns_for`'s, and a malformed record raises the same
+        :class:`~repro.io.errors.FormatError`.
 
         Each pull's time is attributed like the eager scan used to be:
         BGZF inflation to ``DECOMPRESS``, the rest of the

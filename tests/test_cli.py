@@ -573,6 +573,36 @@ class TestIndexSubcommand:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "cut short" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--engine", "streaming"],
+            ["--engine", "batched"],
+            ["--engine", "batched", "--workers", "2", "--backend", "process"],
+        ],
+    )
+    def test_call_on_cut_bam_errors(self, workspace, tmp_path, capsys, extra):
+        """``call`` on a BAM whose last record is cut short exits 2 with
+        one ``error:`` line naming the record's voffset, in every engine
+        and from forked workers too."""
+        from repro.io.bgzf import BgzfReader, BgzfWriter
+
+        with BgzfReader(str(workspace / "sample.bam")) as reader:
+            payload = reader.read()
+        cut = tmp_path / "cut.bam"
+        with BgzfWriter(str(cut)) as writer:
+            writer.write(payload[:-5])
+        out = tmp_path / "out.vcf"
+        rc = main(
+            ["call", str(cut), "--reference", str(workspace / "ref.fa"),
+             "--out", str(out), *extra]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "cut short" in err and "voffset" in err
+        assert not out.exists()
+
     def test_bai_loads_back(self, workspace):
         from repro.io.bai import BaiIndex
 

@@ -322,14 +322,6 @@ class TestColumnBatchBuilder:
         builder.add_read(read_at(50, "a"))
         with pytest.raises(ValueError, match="coordinate-sorted"):
             builder.add_read(read_at(10, "b"))
-        # The pre-decoded deposit path enforces the same contract.
-        builder2 = ColumnBatchBuilder("A" * 100, Region("chrU", 0, 100))
-        pos = np.arange(50, 54, dtype=np.int64)
-        codes = np.zeros(4, dtype=np.uint8)
-        quals = np.full(4, 30, dtype=np.uint8)
-        builder2.add(pos, codes, quals, False, 60)
-        with pytest.raises(ValueError, match="coordinate-sorted"):
-            builder2.add(pos - 20, codes, quals, False, 60)
 
     def test_invalid_batch_columns_rejected(self):
         from repro.pileup.vectorized import ColumnBatchBuilder
@@ -619,6 +611,11 @@ class TestAlignedBaseArrays:
         read = self._read([(CigarOp.M, 3)], "ACG", qual=[])
         _, _, quals = aligned_base_arrays(read)
         assert quals.tolist() == [0, 0, 0]
+
+    def test_missing_seq_has_no_bases(self):
+        read = self._read([(CigarOp.M, 20)], "", qual=[])
+        positions, codes, quals = aligned_base_arrays(read)
+        assert positions.size == codes.size == quals.size == 0
 
     def test_matches_streaming_deposit(self):
         """The CIGAR-aware arrays reproduce the streaming engine's

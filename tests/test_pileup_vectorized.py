@@ -5,7 +5,7 @@ import pytest
 
 from repro.io.regions import Region
 from repro.pileup.engine import PileupConfig, pileup
-from repro.pileup.vectorized import pileup_from_arrays, pileup_sample
+from repro.pileup.vectorized import pileup_batch_from_arrays, pileup_sample
 
 
 def columns_equal(a, b):
@@ -46,15 +46,28 @@ class TestEquivalence:
 
 
 class TestDirect:
+    @pytest.mark.parametrize("span", [1, 300, 65_535, 65_536, 1 << 20])
+    def test_stable_order_matches_argsort(self, span):
+        """The deposit's stable order equals numpy's stable argsort on
+        16-bit keys (span below 65536) and on full ones alike."""
+        from repro.pileup.vectorized import _stable_order
+
+        rng = np.random.default_rng(span)
+        positions = 7_000 + rng.integers(0, span, size=5_000)
+        positions[:2] = [7_000, 7_000 + span - 1]
+        assert np.array_equal(
+            _stable_order(positions), np.argsort(positions, kind="stable")
+        )
+
     def test_single_read_matrix(self):
         starts = np.array([2], dtype=np.int64)
         codes = np.array([[0, 1, 2]], dtype=np.uint8)  # A C G
         quals = np.full((1, 3), 30, dtype=np.uint8)
         rev = np.array([False])
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TTTTTTT", Region("c", 0, 7)
-            )
+            ).columns()
         )
         assert [c.pos for c in cols] == [2, 3, 4]
         assert [c.depth for c in cols] == [1, 1, 1]
@@ -65,10 +78,10 @@ class TestDirect:
         quals = np.array([[5, 30]], dtype=np.uint8)
         rev = np.array([False])
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TT", Region("c", 0, 2),
                 PileupConfig(min_baseq=10),
-            )
+            ).columns()
         )
         assert [c.pos for c in cols] == [1]
 
@@ -78,10 +91,10 @@ class TestDirect:
         quals = np.full((1, 2), 30, dtype=np.uint8)
         rev = np.array([False])
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TT", Region("c", 0, 2),
                 PileupConfig(min_mapq=70), mapq=60,
-            )
+            ).columns()
         )
         assert cols == []
 
@@ -98,10 +111,10 @@ class TestDirect:
         the stored column arrays."""
         starts, codes, quals, rev = self._one_read()
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TT", Region("c", 0, 2),
                 PileupConfig(min_mapq=260), mapq=300,
-            )
+            ).columns()
         )
         assert [c.pos for c in cols] == [0, 1]
         assert all(int(c.mapqs[0]) == 255 for c in cols)
@@ -109,10 +122,10 @@ class TestDirect:
     def test_mapq_above_255_below_threshold_drops(self):
         starts, codes, quals, rev = self._one_read()
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TT", Region("c", 0, 2),
                 PileupConfig(min_mapq=400), mapq=300,
-            )
+            ).columns()
         )
         assert cols == []
 
@@ -120,10 +133,10 @@ class TestDirect:
         starts, codes, quals, rev = self._one_read()
         with pytest.raises(ValueError, match="mapq"):
             list(
-                pileup_from_arrays(
+                pileup_batch_from_arrays(
                     starts, codes, quals, rev, "TT", Region("c", 0, 2),
                     mapq=-1,
-                )
+                ).columns()
             )
 
     def test_flag_filters_documented_as_inapplicable(self):
@@ -131,34 +144,34 @@ class TestDirect:
         filters must not change the pileup."""
         starts, codes, quals, rev = self._one_read()
         base = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TT", Region("c", 0, 2),
                 PileupConfig(),
-            )
+            ).columns()
         )
         toggled = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TT", Region("c", 0, 2),
                 PileupConfig(
                     include_duplicates=True,
                     include_secondary=True,
                     include_qcfail=True,
                 ),
-            )
+            ).columns()
         )
         assert [c.depth for c in base] == [c.depth for c in toggled]
 
     def test_inconsistent_shapes_raise(self):
         with pytest.raises(ValueError, match="consistent"):
             list(
-                pileup_from_arrays(
+                pileup_batch_from_arrays(
                     np.zeros(2, dtype=np.int64),
                     np.zeros((1, 3), dtype=np.uint8),
                     np.zeros((1, 3), dtype=np.uint8),
                     np.zeros(1, dtype=bool),
                     "TTT",
                     Region("c", 0, 3),
-                )
+                ).columns()
             )
 
     def test_empty_region(self, sample, genome):
@@ -181,10 +194,10 @@ class TestPerReadMapq:
     def test_vector_stamps_per_read_values(self):
         starts, codes, quals, rev = self._three_reads()
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                 mapq=np.array([10, 20, 30]),
-            )
+            ).columns()
         )
         # Column 1 holds read 0 (deposited first) then read 1.
         by_pos = {c.pos: c for c in cols}
@@ -194,11 +207,11 @@ class TestPerReadMapq:
     def test_vector_min_mapq_drops_exactly_failing_reads(self):
         starts, codes, quals, rev = self._three_reads()
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                 PileupConfig(min_mapq=20),
                 mapq=np.array([10, 20, 30]),
-            )
+            ).columns()
         )
         by_pos = {c.pos: c for c in cols}
         assert 0 not in by_pos  # only read 0 covered position 0
@@ -211,7 +224,6 @@ class TestPerReadMapq:
         always applied ``min_mapq`` per read)."""
         from repro.io.records import AlignedRead
         from repro.pileup.column import CODE_TO_BASE
-        from repro.pileup.vectorized import pileup_batch_from_arrays
 
         rng = np.random.default_rng(5)
         n, rl = 40, 30
@@ -256,10 +268,10 @@ class TestPerReadMapq:
         quals = np.full((2, 2), 30, dtype=np.uint8)
         rev = np.array([False, False])
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                 mapq=np.array([7, 9]),
-            )
+            ).columns()
         )
         by_pos = {c.pos: c for c in cols}
         assert by_pos[0].mapqs.tolist() == [9]
@@ -268,11 +280,11 @@ class TestPerReadMapq:
     def test_vector_saturates_above_255(self):
         starts, codes, quals, rev = self._three_reads()
         cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                 PileupConfig(min_mapq=260),
                 mapq=np.array([300, 100, 400]),
-            )
+            ).columns()
         )
         flat = np.concatenate([c.mapqs for c in cols])
         assert set(flat.tolist()) == {255}  # reads 0 and 2 survive
@@ -281,26 +293,26 @@ class TestPerReadMapq:
         starts, codes, quals, rev = self._three_reads()
         with pytest.raises(ValueError, match="shape"):
             list(
-                pileup_from_arrays(
+                pileup_batch_from_arrays(
                     starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                     mapq=np.array([1, 2]),
-                )
+                ).columns()
             )
         with pytest.raises(ValueError, match="non-negative"):
             list(
-                pileup_from_arrays(
+                pileup_batch_from_arrays(
                     starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                     mapq=np.array([1, -2, 3]),
-                )
+                ).columns()
             )
 
     def test_all_reads_filtered_yields_empty(self):
         starts, codes, quals, rev = self._three_reads()
         batch_cols = list(
-            pileup_from_arrays(
+            pileup_batch_from_arrays(
                 starts, codes, quals, rev, "TTTTT", Region("c", 0, 5),
                 PileupConfig(min_mapq=50),
                 mapq=np.array([1, 2, 3]),
-            )
+            ).columns()
         )
         assert batch_cols == []

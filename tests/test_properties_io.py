@@ -152,3 +152,64 @@ class TestTextCodecs:
         from repro.io.bam import _pack_seq, _unpack_seq
 
         assert _unpack_seq(_pack_seq(seq), len(seq)) == seq
+
+
+def _pack_seq_loop(seq: str) -> bytes:
+    """The per-base reference for ``_pack_seq``: unknown characters
+    pack to nibble 15."""
+    from repro.io.bam import SEQ_NIBBLES
+
+    nibble = {base: i for i, base in enumerate(SEQ_NIBBLES)}
+    out = bytearray((len(seq) + 1) // 2)
+    for i, base in enumerate(seq):
+        nib = nibble.get(base, 15)
+        if i % 2 == 0:
+            out[i // 2] = nib << 4
+        else:
+            out[i // 2] |= nib
+    return bytes(out)
+
+
+def _unpack_seq_loop(data: bytes, n: int) -> str:
+    """The per-base reference for ``_unpack_seq``."""
+    from repro.io.bam import SEQ_NIBBLES
+
+    out = []
+    for i in range(n):
+        byte = data[i // 2]
+        out.append(SEQ_NIBBLES[(byte >> 4) if i % 2 == 0 else (byte & 0xF)])
+    return "".join(out)
+
+
+#: Any string: the nibble alphabet, lowercase and other ASCII, and any
+#: code point at all (surrogates included).
+any_seq = st.text(
+    alphabet=st.sampled_from(list("=ACMGRSVTWYHKDBNacgtn.*-")) | st.characters(
+        exclude_categories=()
+    ),
+    max_size=80,
+)
+
+
+class TestSeqNibbleTables:
+    @given(any_seq)
+    @settings(max_examples=200, deadline=None)
+    def test_pack_matches_per_base_loop(self, seq):
+        from repro.io.bam import _pack_seq
+
+        assert _pack_seq(seq) == _pack_seq_loop(seq)
+
+    @given(st.binary(max_size=60), st.integers(0, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_unpack_matches_per_base_loop(self, data, n):
+        from repro.io.bam import _unpack_seq
+
+        n = min(n, 2 * len(data))
+        assert _unpack_seq(data, n) == _unpack_seq_loop(data, n)
+
+    def test_non_ascii_packs_to_n(self):
+        from repro.io.bam import _pack_seq
+
+        for seq in ["é", "ACé", "\u00ff", "\U0001f600G", "\ud800"]:
+            assert _pack_seq(seq) == _pack_seq_loop(seq)
+        assert _pack_seq("Aé") == bytes([0x1F])
