@@ -597,7 +597,8 @@ def test_engine_end_to_end(benchmark, table1_workload):
             sample = samples[depth]
             t0 = time.perf_counter()
             streaming = Pipeline(
-                SampleSource(sample), config=CallerConfig.improved()
+                SampleSource(sample),
+                config=CallerConfig.improved(engine="streaming"),
             ).run()
             t_stream = time.perf_counter() - t0
             t0 = time.perf_counter()

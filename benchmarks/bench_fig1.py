@@ -77,7 +77,9 @@ def test_fig1b_workflow_census(benchmark, table1_workload):
     _, _, samples = table1_workload
     sample = samples[max(samples)]
 
-    run = Pipeline(SampleSource(sample), config=CallerConfig.improved()).run
+    run = Pipeline(
+        SampleSource(sample), config=CallerConfig.improved(engine="streaming")
+    ).run
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     batched = Pipeline(
         SampleSource(sample), config=CallerConfig.improved(engine="batched")

@@ -268,9 +268,11 @@ def test_builder_bounded_construction_memory():
 
 def test_span_path_bounded_construction_memory(tmp_path):
     """The batched engine's BAM path (``BamSource.batches_for``, records
-    decoded a span at a time) keeps construction memory bounded by
-    ``batch_columns`` windows: doubling the region leaves the traced
-    peak near flat, with the builder test's loose 1.6 factor.
+    decoded a span at a time) keeps construction memory bounded by its
+    default window (``BATCH_COLUMNS``): doubling the region leaves the
+    traced peak near flat, with the builder test's loose 1.6 factor.
+    Even the fast profile's 3,000-column region is three default
+    windows, so a default that made each region one window fails here.
 
     The source is warmed first (reader, seek index, one pass) and
     holds one decompressed BGZF block, so the measured peak is the
@@ -284,7 +286,6 @@ def test_span_path_bounded_construction_memory(tmp_path):
     from repro.sim.reads import ReadSimulator
 
     length = 3000 if FAST else 6000
-    batch_columns = 256
     genome = random_genome(length, gc_content=0.5, name="chrSpan", seed=11)
     sample = ReadSimulator(genome, read_length=100).simulate(
         depth=40 if FAST else 60, seed=12
@@ -293,9 +294,7 @@ def test_span_path_bounded_construction_memory(tmp_path):
     with BamWriter(str(bam), sample.header()) as writer:
         for read in sample.reads():
             writer.write(read)
-    source = BamSource(
-        bam, genome.sequence, batch_columns=batch_columns, cache_blocks=1
-    )
+    source = BamSource(bam, genome.sequence, cache_blocks=1)
     half = Region(genome.name, 0, length // 2)
     full = Region(genome.name, 0, length)
 

@@ -40,8 +40,8 @@ def _depth_params(table1_workload):
 #: The Table I versions plus the batched engine (same algorithm as
 #: "improved", chunk-level vectorised screening).
 VERSION_CONFIGS = {
-    "original": lambda: CallerConfig.original(),
-    "improved": lambda: CallerConfig.improved(),
+    "original": lambda: CallerConfig.original(engine="streaming"),
+    "improved": lambda: CallerConfig.improved(engine="streaming"),
     "improved-batched": lambda: CallerConfig.improved(engine="batched"),
 }
 
@@ -76,12 +76,14 @@ def test_table1_report(benchmark, table1_workload):
             sample = samples[depth]
             t0 = time.perf_counter()
             orig = Pipeline(
-                SampleSource(sample), config=CallerConfig.original()
+                SampleSource(sample),
+                config=CallerConfig.original(engine="streaming"),
             ).run()
             t_orig = time.perf_counter() - t0
             t0 = time.perf_counter()
             new = Pipeline(
-                SampleSource(sample), config=CallerConfig.improved()
+                SampleSource(sample),
+                config=CallerConfig.improved(engine="streaming"),
             ).run()
             t_new = time.perf_counter() - t0
             t0 = time.perf_counter()

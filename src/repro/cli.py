@@ -115,9 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.add_argument(
         "--engine",
         choices=["streaming", "batched"],
-        default="streaming",
-        help="column evaluation: per-allele streaming loop or the "
-        "vectorised chunk-level batched engine (identical output)",
+        default="batched",
+        help="column evaluation: the vectorised chunk-level batched "
+        "engine (default) or the per-allele streaming loop, the "
+        "reference the batched engine is checked against (identical "
+        "output)",
     )
     p_call.add_argument("--alpha", type=float, default=0.05)
     p_call.add_argument("--margin", type=float, default=0.01)
@@ -170,10 +172,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_call.add_argument("--workers", type=int, default=1)
     p_call.add_argument(
-        "--schedule", choices=["static", "dynamic", "guided"], default="dynamic"
+        "--schedule",
+        choices=["static", "dynamic", "guided"],
+        default="dynamic",
+        help="chunk schedule of the thread backend (the process "
+        "backend assigns chunks round-robin and ignores it)",
     )
     p_call.add_argument(
-        "--backend", choices=["thread", "process", "serial"], default="thread"
+        "--backend",
+        choices=["thread", "process", "serial"],
+        default="process",
+        help="how --workers N > 1 runs: forked processes (the "
+        "default: record decode and deposit hold the GIL, so threads "
+        "call slower than one serial worker and processes do not), "
+        "threads (the paper's OpenMP analogue) or serial",
     )
     p_call.add_argument("--region", default=None, help="chrom:start-end")
     p_call.add_argument("--stats", action="store_true", help="print run stats")
@@ -380,8 +392,12 @@ def _cmd_call(args: argparse.Namespace) -> int:
     )
 
     references = load_reference(args.reference)
-    with BamReader(args.bam) as reader:
-        header_refs = list(reader.header.references)
+    try:
+        with BamReader(args.bam) as reader:
+            header_refs = list(reader.header.references)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     resolved = _resolve_call_regions(args, references, header_refs)
     if isinstance(resolved, str):
         print(f"error: {resolved}", file=sys.stderr)

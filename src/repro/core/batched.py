@@ -61,7 +61,6 @@ on every input, not just statistically close:
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -69,7 +68,12 @@ import numpy as np
 from repro.core.config import CallerConfig
 from repro.core.model import allele_error_probabilities_batch
 from repro.core.results import ColumnDecision, RunStats, VariantCall
-from repro.pileup.column import CODE_TO_BASE, ColumnBatch, PileupColumn
+from repro.pileup.column import (
+    BATCH_COLUMNS,
+    CODE_TO_BASE,
+    ColumnBatch,
+    PileupColumn,
+)
 from repro.stats.approximation import (
     poisson_tail_approx,
     poisson_tail_approx_batch,
@@ -94,12 +98,6 @@ __all__ = [
 #: kernels differ by < 1e-14 in practice; 1e-6 leaves ~8 orders of
 #: magnitude of safety while re-running a negligible number of pairs.
 GUARD_BAND = 1e-6
-
-#: Columns gathered per vectorised pass when the caller consumes an
-#: unbounded column stream.  Large enough to amortise the batch
-#: kernels, small enough that peak memory stays a constant number of
-#: columns rather than the whole region.
-BATCH_COLUMNS = 1024
 
 #: Ceiling on the survivor-plane size (lanes x reads, float64) handed
 #: to one :func:`poibin_sf_dp_batch` call: 2^23 elements = 64 MiB.
@@ -592,72 +590,6 @@ def evaluate_batch(
     return exact_batch(batch, survivors, corrected_alpha, config, stats)
 
 
-class _PackBuffer:
-    """Reusable flat planes for packing loose columns into a batch.
-
-    ``evaluate_columns_batched`` flushes a pack every
-    :data:`BATCH_COLUMNS` columns; allocating four fresh flat arrays
-    per flush (the old ``ColumnBatch.from_columns`` path) churns the
-    allocator under the thread backend.  One buffer per thread is kept
-    and grown geometrically instead; the packed batch holds *views*
-    into it, valid until the next :meth:`pack` on the same thread --
-    exactly the lifetime of one ``evaluate_batch`` call, which fully
-    consumes the batch before the next flush starts.
-    """
-
-    __slots__ = ("codes", "quals", "rev", "mapqs")
-
-    def __init__(self) -> None:
-        self.codes = np.empty(0, dtype=np.uint8)
-        self.quals = np.empty(0, dtype=np.uint8)
-        self.rev = np.empty(0, dtype=bool)
-        self.mapqs = np.empty(0, dtype=np.uint8)
-
-    def pack(self, columns: List[PileupColumn]) -> ColumnBatch:
-        """Pack per-column objects into one batch backed by the
-        reusable buffers (same layout as
-        :meth:`ColumnBatch.from_columns`)."""
-        depths = np.array([c.depth for c in columns], dtype=np.int64)
-        offsets = np.zeros(len(columns) + 1, dtype=np.int64)
-        np.cumsum(depths, out=offsets[1:])
-        total = int(offsets[-1])
-        if self.codes.size < total:
-            size = max(total, 2 * self.codes.size)
-            self.codes = np.empty(size, dtype=np.uint8)
-            self.quals = np.empty(size, dtype=np.uint8)
-            self.rev = np.empty(size, dtype=bool)
-            self.mapqs = np.empty(size, dtype=np.uint8)
-        for i, c in enumerate(columns):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            self.codes[lo:hi] = c.base_codes
-            self.quals[lo:hi] = c.quals
-            self.rev[lo:hi] = c.reverse
-            self.mapqs[lo:hi] = c.mapqs
-        return ColumnBatch(
-            chrom=columns[0].chrom,
-            positions=np.array([c.pos for c in columns], dtype=np.int64),
-            ref_bases="".join(c.ref_base for c in columns),
-            base_codes=self.codes[:total],
-            quals=self.quals[:total],
-            reverse=self.rev[:total],
-            mapqs=self.mapqs[:total],
-            offsets=offsets,
-            n_capped=np.array([c.n_capped for c in columns], dtype=np.int64),
-        )
-
-
-_PACK_LOCAL = threading.local()
-
-
-def _pack_columns(columns: List[PileupColumn]) -> ColumnBatch:
-    """Pack a non-empty same-chromosome run through this thread's
-    reusable :class:`_PackBuffer`."""
-    buffer = getattr(_PACK_LOCAL, "buffer", None)
-    if buffer is None:
-        buffer = _PACK_LOCAL.buffer = _PackBuffer()
-    return buffer.pack(columns)
-
-
 def evaluate_columns_batched(
     columns: Iterable[PileupColumn],
     corrected_alpha: float,
@@ -671,9 +603,7 @@ def evaluate_columns_batched(
     same-chromosome runs are packed into a
     :class:`~repro.pileup.column.ColumnBatch` and fed to
     :func:`evaluate_batch`, so loose columns and native batches run
-    the identical columnar engine.  Packs go through a reusable
-    per-thread buffer (:class:`_PackBuffer`) instead of allocating
-    four fresh flat arrays per flush.
+    the identical columnar engine.
 
     Args:
         columns: the chunk's pileup columns, any order (a chromosome
@@ -693,7 +623,8 @@ def evaluate_columns_batched(
         if run and column.chrom != run[0].chrom:
             calls.extend(
                 evaluate_batch(
-                    _pack_columns(run), corrected_alpha, config, stats
+                    ColumnBatch.from_columns(run), corrected_alpha, config,
+                    stats,
                 )
             )
             run = []
@@ -701,7 +632,7 @@ def evaluate_columns_batched(
     if run:
         calls.extend(
             evaluate_batch(
-                _pack_columns(run), corrected_alpha, config, stats
+                ColumnBatch.from_columns(run), corrected_alpha, config, stats
             )
         )
     return calls

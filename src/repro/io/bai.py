@@ -489,7 +489,7 @@ def build_bai(bam_path) -> BaiIndex:
         bam_path: coordinate-sorted BAM to scan.
 
     Raises:
-        ValueError: if the BAM is not coordinate-sorted or a record is
+        FormatError: if the BAM is not coordinate-sorted or a record is
             malformed.
     """
     with BamReader(bam_path) as reader:

@@ -44,7 +44,6 @@ from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.cigar import (
     CONSUMES_QUERY,
     CONSUMES_REFERENCE,
-    CigarOp,
     invalid_cigars,
     op_table,
     packed_reference_length,
@@ -59,7 +58,6 @@ __all__ = [
     "BamWriter",
     "BamReader",
     "RecordSpan",
-    "aligned_base_arrays",
     "encode_record",
     "decode_record",
     "decode_record_at",
@@ -356,73 +354,15 @@ def _bad_tag_areas(
     return bad
 
 
-def aligned_base_arrays(
-    read: AlignedRead,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One :class:`AlignedRead`'s aligned bases as flat arrays
-    ``(reference positions int64, base codes uint8, quals uint8)``.
-
-    CIGAR-expanded in O(#operations) array slices -- no per-base
-    Python tuples -- with semantics matching the streaming pileup's
-    deposit loop exactly: only operations consuming both query and
-    reference contribute; base codes follow
-    ``BASE_TO_CODE.get(char, N_CODE)`` (no case folding); a missing
-    quality string reads as all-zero qualities (which the default
-    ``min_baseq`` then drops, as in the streaming engine); a read
-    without SEQ (``*``) has no bases to align.
-
-    Each read's arrays feed
-    :meth:`repro.pileup.vectorized.ColumnBatchBuilder.add_read` as one
-    zero-copy segment (the ungapped common case returns direct views
-    into the record).  BAM input skips this per-read step: the batched
-    engine decodes whole runs of records with :class:`RecordSpan`.
-    """
-    from repro.pileup.column import encode_read_bases
-
-    seq_codes = encode_read_bases(read.seq)
-    if read.qual.size:
-        qual = np.asarray(read.qual, dtype=np.uint8)
-    else:
-        qual = np.zeros(len(read.seq), dtype=np.uint8)
-    pos_parts: List[np.ndarray] = []
-    code_parts: List[np.ndarray] = []
-    qual_parts: List[np.ndarray] = []
-    qi = 0
-    ri = read.pos
-    for op, length in read.cigar if read.seq else ():
-        op = CigarOp(op)
-        in_q = op in CONSUMES_QUERY
-        in_r = op in CONSUMES_REFERENCE
-        if in_q and in_r:
-            pos_parts.append(np.arange(ri, ri + length, dtype=np.int64))
-            code_parts.append(seq_codes[qi : qi + length])
-            qual_parts.append(qual[qi : qi + length])
-            qi += length
-            ri += length
-        elif in_q:
-            qi += length
-        elif in_r:
-            ri += length
-    if not pos_parts:
-        empty = np.zeros(0, dtype=np.uint8)
-        return np.zeros(0, dtype=np.int64), empty, empty.copy()
-    if len(pos_parts) == 1:
-        # The ungapped common case: zero-copy views into the record.
-        return pos_parts[0], code_parts[0], qual_parts[0]
-    return (
-        np.concatenate(pos_parts),
-        np.concatenate(code_parts),
-        np.concatenate(qual_parts),
-    )
-
-
 def encode_record(read: AlignedRead, header: SamHeader) -> bytes:
     """Serialise one record as its BAM binary body (without the leading
     ``block_size`` word, which the writer prepends).
 
     Raises:
         ValueError: if the read references a sequence missing from the
-            header or a name/CIGAR exceeds format limits.
+            header, a name/CIGAR exceeds format limits, or a number
+            (position, mapping quality, flag, mate field, CIGAR length
+            or tag value) lies outside its BAM field's range.
     """
     ref_id = header.reference_id(read.rname) if read.rname != "*" else -1
     next_ref_id = (
@@ -439,33 +379,31 @@ def encode_record(read: AlignedRead, header: SamHeader) -> bytes:
     if n_cigar >= 1 << 16:
         raise ValueError("more than 65535 CIGAR operations")
     end = read.reference_end if read.cigar else read.pos + 1
-    core = _CORE.pack(
-        ref_id,
-        read.pos,
-        len(name),
-        read.mapq,
-        reg2bin(read.pos, max(end, read.pos + 1)) if read.pos >= 0 else 4680,
-        n_cigar,
-        read.flag,
-        len(read.seq),
-        next_ref_id,
-        read.pnext,
-        read.tlen,
-    )
-    cigar_words = b"".join(
-        struct.pack("<I", (length << 4) | int(op)) for op, length in read.cigar
-    )
+    try:
+        core = _CORE.pack(
+            ref_id,
+            read.pos,
+            len(name),
+            read.mapq,
+            reg2bin(read.pos, max(end, read.pos + 1)) if read.pos >= 0 else 4680,
+            n_cigar,
+            read.flag,
+            len(read.seq),
+            next_ref_id,
+            read.pnext,
+            read.tlen,
+        )
+        cigar_words = b"".join(
+            struct.pack("<I", (length << 4) | int(op))
+            for op, length in read.cigar
+        )
+        tags = _encode_tags(read.tags)
+    except struct.error as exc:
+        raise ValueError(f"read {read.qname} does not fit BAM: {exc}") from None
     qual = read.qual.astype(np.uint8).tobytes()
     if len(read.seq) and not len(qual):
         qual = b"\xff" * len(read.seq)  # 0xff = quality unavailable
-    return (
-        core
-        + name
-        + cigar_words
-        + _pack_seq(read.seq)
-        + qual
-        + _encode_tags(read.tags)
-    )
+    return core + name + cigar_words + _pack_seq(read.seq) + qual + tags
 
 
 def _fixed_fields(body: bytes, n_ref: int) -> Tuple[int, ...]:
@@ -675,26 +613,58 @@ class BamReader:
             reader's LRU buffer (see :class:`repro.io.bgzf.BgzfReader`);
             more blocks make repeated/overlapping region seeks skip
             re-inflation at ~64 KiB of memory per block.
+
+    Raises:
+        FormatError: if the magic is wrong or the header is cut short,
+            has a negative length or holds non-ASCII text; the message
+            names the field.
     """
 
     def __init__(self, source: PathOrFile, cache_blocks: int = 1) -> None:
         self._bgzf = BgzfReader(source, cache_blocks=cache_blocks)
-        magic = self._bgzf.readexact(4)
+        magic = self._header_bytes(4, "magic")
         if magic != BAM_MAGIC:
-            raise ValueError(f"not a BAM file (magic {magic!r})")
-        (l_text,) = struct.unpack("<i", self._bgzf.readexact(4))
-        text = self._bgzf.readexact(l_text).decode("ascii")
-        (n_ref,) = struct.unpack("<i", self._bgzf.readexact(4))
+            raise FormatError(f"not a BAM file (magic {magic!r})")
+        l_text = self._header_int("l_text")
+        text = self._header_text(l_text, "text")
+        n_ref = self._header_int("n_ref")
         refs: List[Tuple[str, int]] = []
-        for _ in range(n_ref):
-            (l_name,) = struct.unpack("<i", self._bgzf.readexact(4))
-            name = self._bgzf.readexact(l_name)[:-1].decode("ascii")
-            (l_ref,) = struct.unpack("<i", self._bgzf.readexact(4))
-            refs.append((name, l_ref))
+        for i in range(n_ref):
+            l_name = self._header_int(f"l_name of reference {i}")
+            name = self._header_text(l_name, f"name of reference {i}")
+            l_ref = self._header_int(f"l_ref of reference {i}")
+            refs.append((name[:-1], l_ref))
         self.header = SamHeader.from_text(text)
         if not self.header.references:
             self.header.references = refs
         self._data_start = self._bgzf.tell()
+
+    def _header_bytes(self, n: int, field: str) -> bytes:
+        """The header's next ``n`` bytes, which hold ``field``.
+
+        Raises:
+            FormatError: if ``n`` is negative or the stream ends first.
+        """
+        if n < 0:
+            raise FormatError(f"BAM header {field} has negative length {n}")
+        data = self._bgzf.read(n)
+        if len(data) < n:
+            raise FormatError(
+                f"BAM header cut short in {field}: wanted {n} bytes, "
+                f"got {len(data)}"
+            )
+        return data
+
+    def _header_int(self, field: str) -> int:
+        """The header's next int32, ``field``."""
+        return _INT32.unpack(self._header_bytes(4, field))[0]
+
+    def _header_text(self, n: int, field: str) -> str:
+        """The header's next ``n`` bytes as ASCII text, ``field``."""
+        try:
+            return self._header_bytes(n, field).decode("ascii")
+        except UnicodeDecodeError:
+            raise FormatError(f"BAM header {field} is not ASCII") from None
 
     @property
     def blocks_read(self) -> int:
@@ -826,9 +796,8 @@ def walk_records(
 
     Raises:
         FormatError: if a record is malformed (see :func:`walk_bodies`)
-            or has a CIGAR op code above 8; the message names its
-            virtual offset.
-        ValueError: if the BAM is not coordinate-sorted.
+            or has a CIGAR op code above 8, the message naming its
+            virtual offset; or if the BAM is not coordinate-sorted.
     """
     references = reader.header.references
     last_ref = -1
@@ -844,7 +813,7 @@ def walk_records(
             raise _at(vbegin, FormatError(str(exc))) from None
         if ref_id >= 0 and pos >= 0:
             if ref_id < last_ref:
-                raise ValueError(
+                raise FormatError(
                     "cannot index an unsorted BAM (contig "
                     f"{references[ref_id][0]!r} appears after a later "
                     "header contig)"
@@ -854,7 +823,7 @@ def walk_records(
                 last_pos = -1
             if pos < last_pos:
                 qname = body[_CORE.size : off - 1].decode("ascii", "replace")
-                raise ValueError(
+                raise FormatError(
                     "cannot index an unsorted BAM "
                     f"({qname} at {pos} after {last_pos})"
                 )
@@ -966,18 +935,23 @@ class RecordSpan:
             self.lens[only] == self.l_seq[single]
         )
 
-    def suspects(self) -> np.ndarray:
-        """Indices of the records :func:`decode_record` rejects: a
-        non-ASCII read name, a CIGAR that
-        :func:`repro.io.cigar.invalid_cigars` flags, or a tag area that
-        does not parse.  (The fixed fields were checked by the walk.)"""
-        n = len(self.bodies)
-        name_len = np.maximum(self.cigar_off - self.name_off - 1, 0)
-        name_bytes = self.buf[_ranges(self.name_off, name_len)]
-        bad = invalid_cigars(self.ops, self.lens, self.n_cigar, self.l_seq)
-        bad[np.repeat(np.arange(n), name_len)[name_bytes >= 0x80]] = True
-        bad |= _bad_tag_areas(self.buf, self.tag_off, self.end)
-        return np.flatnonzero(bad)
+    def suspects(self, first: int = 0) -> np.ndarray:
+        """Indices, from record ``first`` on, of the records
+        :func:`decode_record` rejects: a non-ASCII read name, a CIGAR
+        that :func:`repro.io.cigar.invalid_cigars` flags, or a tag area
+        that does not parse.  (The fixed fields were checked by the
+        walk.)  Records before ``first`` are not looked at."""
+        tail = slice(first, len(self.bodies))
+        name_off = self.name_off[tail]
+        name_len = np.maximum(self.cigar_off[tail] - name_off - 1, 0)
+        name_bytes = self.buf[_ranges(name_off, name_len)]
+        op0 = int(self.op_first[first]) if name_off.size else self.ops.size
+        bad = invalid_cigars(
+            self.ops[op0:], self.lens[op0:], self.n_cigar[tail], self.l_seq[tail]
+        )
+        bad[np.repeat(np.arange(name_off.size), name_len)[name_bytes >= 0x80]] = True
+        bad |= _bad_tag_areas(self.buf, self.tag_off[tail], self.end[tail])
+        return first + np.flatnonzero(bad)
 
     def check(
         self, header: SamHeader, vbegins: Sequence[int], first: int = 0
@@ -986,9 +960,8 @@ class RecordSpan:
         :func:`decode_record` rejects, the error
         :meth:`BamReader.read_record` raises for it (``vbegins`` are
         the virtual offsets of records ``first``, ``first + 1``, ...)."""
-        for j in self.suspects():
-            if j >= first:
-                decode_record_at(self.bodies[j], header, vbegins[j - first])
+        for j in self.suspects(first):
+            decode_record_at(self.bodies[j], header, vbegins[j - first])
 
     def bases(
         self, rows: np.ndarray, length: int, table: np.ndarray
@@ -1041,10 +1014,16 @@ class RecordSpan:
         out = _starts(seg_len)
         index = np.arange(int(seg_len.sum()), dtype=np.int64)
         positions = np.repeat(lo - out, seg_len) + index
-        row_seq = 2 * self.seq_off[rows]
-        codes = self._codes(table)[
-            np.repeat(row_seq[seg_read] + seg_q - out, seg_len) + index
+        # Nibble k of the buffer is byte k >> 1's high (k even) or low
+        # half: only the window's bases are gathered and mapped.
+        nibble = np.repeat(2 * self.seq_off[rows][seg_read] + seg_q - out, seg_len)
+        nibble += index
+        low = nibble.astype(np.uint8) & 1
+        nibble >>= 1
+        codes = _byte_codes(table).view(np.uint8).reshape(256, 2)[
+            self.buf[nibble], low
         ]
+        del nibble, low
         quals = self.buf[
             np.repeat(self.qual_off[rows][seg_read] + seg_q - out, seg_len)
             + index
@@ -1056,11 +1035,6 @@ class RecordSpan:
             seg_read, weights=seg_len, minlength=rows.size
         ).astype(np.int64)
         return positions, codes, quals, counts
-
-    def _codes(self, table: np.ndarray) -> np.ndarray:
-        """Every nibble of the buffer through ``table``: entry ``2b``
-        is byte ``b``'s high nibble's code, ``2b + 1`` its low one's."""
-        return _byte_codes(table)[self.buf].view(np.uint8)
 
     def _unavailable(self, rows: np.ndarray) -> np.ndarray:
         """True for each of ``rows`` whose qualities are all ``0xff``

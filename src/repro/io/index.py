@@ -230,7 +230,7 @@ def build_bai_index(bam_path):
         bam_path: coordinate-sorted BAM to scan.
 
     Raises:
-        ValueError: if the BAM is not coordinate-sorted or a record is
+        FormatError: if the BAM is not coordinate-sorted or a record is
             malformed (see :func:`repro.io.bam.walk_records`).
     """
     from repro.io.bai import build_bai

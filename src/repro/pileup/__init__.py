@@ -7,17 +7,18 @@ is the equivalent of ``samtools mpileup``:
 
 * :mod:`repro.pileup.column` -- the :class:`PileupColumn` value type
   with base encoding, counting and quality->probability conversion,
-  and the structure-of-arrays :class:`ColumnBatch` span of columns
-  (the columnar pipeline's native interchange type).
+  the structure-of-arrays :class:`ColumnBatch` span of columns (the
+  columnar pipeline's native interchange type), and
+  :data:`BATCH_COLUMNS`, the one batch window size.
 * :mod:`repro.pileup.engine` -- the streaming sweep over
   coordinate-sorted reads, with flag/quality filtering and the depth
-  cap (LoFreq defaults to 1,000,000 -- see Table I's footnote); plus
-  the batch-emitting sweep :func:`pileup_batches`.
+  cap (LoFreq defaults to 1,000,000 -- see Table I's footnote).
 * :mod:`repro.pileup.vectorized` -- bulk columnar construction: the
-  counting and stable-sort deposit kernels behind read matrices, raw
-  BAM record spans and the incremental bounded-memory
-  :class:`ColumnBatchBuilder` for alignment streams (construction
-  memory is one window, not one chunk).
+  counting and stable-sort deposit kernels behind read matrices and
+  raw BAM record spans, and the incremental bounded-memory
+  :class:`ColumnBatchBuilder` for alignment streams, which encodes
+  each read as a BAM record and deposits a window of them as one
+  span (construction memory is one window, not one chunk).
 """
 
 from repro.pileup.column import (
@@ -27,7 +28,7 @@ from repro.pileup.column import (
     ColumnBatch,
     PileupColumn,
 )
-from repro.pileup.engine import PileupConfig, pileup, pileup_batches
+from repro.pileup.engine import PileupConfig, pileup
 from repro.pileup.vectorized import ColumnBatchBuilder, iter_pileup_batches
 
 __all__ = [
@@ -40,5 +41,4 @@ __all__ = [
     "PileupConfig",
     "iter_pileup_batches",
     "pileup",
-    "pileup_batches",
 ]

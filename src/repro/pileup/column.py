@@ -31,11 +31,34 @@ import numpy as np
 __all__ = [
     "BASES",
     "BASE_TO_CODE",
+    "BATCH_COLUMNS",
     "CODE_TO_BASE",
     "ColumnBatch",
     "PileupColumn",
+    "check_batch_columns",
     "encode_read_bases",
 ]
+
+#: Columns per batch: the batched engine's screening slice, and the
+#: default window of every batch producer (the pipeline sources, the
+#: builder), so one window feeds one screening pass and a window's
+#: construction memory is about ``BATCH_COLUMNS`` x depth bases.
+BATCH_COLUMNS = 1024
+
+
+def check_batch_columns(batch_columns: Optional[int]) -> Optional[int]:
+    """The ``batch_columns`` contract of every batch producer: a
+    positive column cap, or ``None`` for one batch per chunk.
+
+    Raises:
+        ValueError: if ``batch_columns`` is not positive.
+    """
+    if batch_columns is not None and batch_columns <= 0:
+        raise ValueError(
+            f"batch_columns must be positive, got {batch_columns}"
+        )
+    return batch_columns
+
 
 BASES = "ACGTN"
 BASE_TO_CODE: Dict[str, int] = {b: i for i, b in enumerate(BASES)}

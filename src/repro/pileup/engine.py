@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.io.cigar import CONSUMES_QUERY, CONSUMES_REFERENCE, CigarOp
+from repro.io.errors import FormatError
 from repro.io.records import (
     FLAG_DUPLICATE,
     FLAG_QCFAIL,
@@ -25,9 +26,9 @@ from repro.io.records import (
     AlignedRead,
 )
 from repro.io.regions import Region
-from repro.pileup.column import BASE_TO_CODE, N_CODE, ColumnBatch, PileupColumn
+from repro.pileup.column import BASE_TO_CODE, N_CODE, PileupColumn
 
-__all__ = ["PileupConfig", "pileup", "pileup_batches"]
+__all__ = ["PileupConfig", "pileup"]
 
 #: LoFreq's default depth cap (Table I footnote: "LoFreq by default
 #: limits columns to 1 million").
@@ -125,13 +126,12 @@ def _sweep(
     region: Region,
     cfg: PileupConfig,
 ) -> Iterator[Tuple[int, Optional[_ColumnAccumulator]]]:
-    """The left-to-right sweep shared by :func:`pileup` and
-    :func:`pileup_batches`: yields ``(position, accumulator)`` for
-    every position of ``region`` in order, with ``None`` accumulators
-    at uncovered positions.
+    """The left-to-right sweep behind :func:`pileup`: yields
+    ``(position, accumulator)`` for every position of ``region`` in
+    order, with ``None`` accumulators at uncovered positions.
 
     Raises:
-        ValueError: if the input violates coordinate sorting.
+        FormatError: if the input violates coordinate sorting.
     """
     acc: Dict[int, _ColumnAccumulator] = {}
     emit_from = region.start
@@ -150,7 +150,7 @@ def _sweep(
         if read.is_unmapped:
             continue
         if read.pos < last_read_pos:
-            raise ValueError(
+            raise FormatError(
                 f"reads are not coordinate-sorted: {read.qname} at "
                 f"{read.pos} after {last_read_pos}"
             )
@@ -193,7 +193,7 @@ def pileup(
         :class:`PileupColumn` in strictly increasing position order.
 
     Raises:
-        ValueError: if the input violates coordinate sorting.
+        FormatError: if the input violates coordinate sorting.
     """
     cfg = config or PileupConfig()
     for pos, builder in _sweep(reads, region, cfg):
@@ -206,50 +206,6 @@ def pileup(
         yield builder.to_column(region.chrom, pos, reference[pos].upper())
 
 
-#: Columns per batch emitted by :func:`pileup_batches`; matches the
-#: batched caller engine's internal slice size so one batch feeds one
-#: vectorised screening pass.
-BATCH_SWEEP_COLUMNS = 1024
-
-
-def pileup_batches(
-    reads: Iterable[AlignedRead],
-    reference: str,
-    region: Region,
-    config: Optional[PileupConfig] = None,
-    *,
-    batch_columns: Optional[int] = BATCH_SWEEP_COLUMNS,
-) -> Iterator[ColumnBatch]:
-    """Batch-emitting sweep: like :func:`pileup` but yields
-    :class:`~repro.pileup.column.ColumnBatch` spans of at most
-    ``batch_columns`` columns, never materialising the per-column
-    :class:`PileupColumn` objects in between.
-
-    Since PR 5 this delegates to the incremental
-    :class:`~repro.pileup.vectorized.ColumnBatchBuilder` (the
-    per-base Python list accumulators are gone): reads are deposited
-    as flat segment arrays and a completed window is flushed as soon
-    as the scan passes it, so memory stays proportional to one flush
-    window -- read length x depth plus ``batch_columns`` columns --
-    and the columns covered are identical to :func:`pileup`.
-    ``batch_columns=None`` emits one batch for the whole region.
-
-    Raises:
-        ValueError: if ``batch_columns`` is not positive (raised
-            eagerly, at call time) or the input violates coordinate
-            sorting (raised during iteration).
-    """
-    from repro.pileup.vectorized import iter_pileup_batches
-
-    if batch_columns is not None and batch_columns <= 0:
-        raise ValueError(
-            f"batch_columns must be positive, got {batch_columns}"
-        )
-    return iter_pileup_batches(
-        reads, reference, region, config, batch_columns=batch_columns
-    )
-
-
 def _deposit(
     read: AlignedRead,
     region: Region,
@@ -257,13 +213,17 @@ def _deposit(
     acc: Dict[int, _ColumnAccumulator],
 ) -> None:
     """Walk the CIGAR and add each aligned base to its accumulator (a
-    read without SEQ, ``*``, has none)."""
+    read without SEQ, ``*``, has none).  Qualities that are all 255
+    are BAM's "unavailable" and deposit as 0, as
+    :func:`repro.io.bam.decode_record` reads them."""
     seq = read.seq
     if not seq:
         return
     qi = 0
     ri = read.pos
     qual = read.qual
+    if qual.size and qual.min() == 0xFF:
+        qual = qual[:0]
     rev = read.is_reverse
     mapq = read.mapq
     for op, length in read.cigar:

@@ -30,8 +30,11 @@ Three producers feed them:
   :meth:`repro.pipeline.BamSource.batches_for`);
 * :class:`ColumnBatchBuilder` / :func:`pileup_batch_from_reads` --
   :class:`~repro.io.records.AlignedRead` streams (SAM, in-memory
-  reads), each read's aligned bases from
-  :func:`repro.io.bam.aligned_base_arrays`.
+  reads), each read encoded as a BAM record and each window of them
+  deposited through :func:`pileup_batch_from_records`.
+
+Every producer windows at :data:`~repro.pileup.column.BATCH_COLUMNS`
+columns unless told otherwise.
 
 Both kernels defer the strand/mapq planes (the screen reads only codes
 and qualities).  The test suite checks every path produces columns
@@ -54,11 +57,18 @@ from typing import (
 
 import numpy as np
 
-from repro.io.bam import SEQ_NIBBLES, RecordSpan
-from repro.io.records import FLAG_REVERSE, AlignedRead
+from repro.io.bam import SEQ_NIBBLES, RecordSpan, encode_record
+from repro.io.errors import FormatError
+from repro.io.records import FLAG_REVERSE, AlignedRead, SamHeader
 from repro.io.regions import Region
-from repro.pileup.column import SEQ_CODE_LUT, ColumnBatch, PileupColumn
-from repro.pileup.engine import BATCH_SWEEP_COLUMNS, PileupConfig
+from repro.pileup.column import (
+    BATCH_COLUMNS,
+    SEQ_CODE_LUT,
+    ColumnBatch,
+    PileupColumn,
+    check_batch_columns,
+)
+from repro.pileup.engine import PileupConfig
 
 __all__ = [
     "ColumnBatchBuilder",
@@ -69,13 +79,6 @@ __all__ = [
     "pileup_sample",
     "pileup_sample_batch",
 ]
-
-#: Default columns per batch flushed by :class:`ColumnBatchBuilder`
-#: (and therefore by :func:`iter_pileup_batches`): the batch-emitting
-#: sweep's historical granularity, which matches the batched caller
-#: engine's internal slice size so one flushed batch feeds one
-#: vectorised screening pass.
-BUILDER_BATCH_COLUMNS = BATCH_SWEEP_COLUMNS
 
 #: BAM sequence nibble -> base code: the nibble's character through
 #: ``BASE_TO_CODE.get(char, N_CODE)``, as for a decoded read.
@@ -455,11 +458,14 @@ def pileup_batch_from_records(
     flag and mapping-quality filters, reads ending at or before the
     window skipped, a read without SEQ depositing nothing, all-``0xff``
     qualities reading as 0.  If every kept read is ungapped (one
-    ``M``, ``=`` or ``X`` operation) and all have one length, the
-    window goes through the counting deposit of
-    :func:`pileup_batch_from_arrays`; otherwise through the
-    stable-sort deposit.  Either way the columns equal the streaming
-    engine's.
+    ``M``, ``=`` or ``X`` operation) and all have one length, no
+    longer than the window or
+    :data:`~repro.pileup.column.BATCH_COLUMNS`, the window goes
+    through the counting deposit of :func:`pileup_batch_from_arrays`,
+    which expands each read whole; otherwise through the stable-sort
+    deposit, which expands only the bases inside the window (a long
+    read is carried through many windows).  Either way the columns
+    equal the streaming engine's.
 
     Args:
         span: the decoded records, each one
@@ -490,7 +496,11 @@ def pileup_batch_from_records(
     reverse = (span.flag[live] & FLAG_REVERSE) != 0
     length = span.l_seq[live]
     rl = int(length[0])
-    if span.ungapped[live].all() and bool((length == rl).all()):
+    if (
+        rl <= max(len(window), BATCH_COLUMNS)
+        and span.ungapped[live].all()
+        and bool((length == rl).all())
+    ):
         codes, quals = span.bases(live, rl, _NIBBLE_CODES)
         batch = pileup_batch_from_arrays(
             span.pos[live], codes, quals, reverse, reference, window, cfg,
@@ -510,23 +520,26 @@ def pileup_batch_from_records(
 class ColumnBatchBuilder:
     """Incremental, bounded-memory columnar pileup construction from
     :class:`~repro.io.records.AlignedRead` values (SAM or in-memory
-    reads; a BAM file skips the per-read objects through
+    reads; a BAM file skips the per-read objects and goes straight to
     :func:`pileup_batch_from_records`, with the same windows).
 
-    Reads arrive one at a time in coordinate order; each read's
-    aligned bases are deposited as flat per-read *segment arrays* -- no
-    per-base Python lists anywhere -- and, because every later read
-    starts at or after the current one, all columns strictly left of
-    the newest read's start are complete.
-    As soon as the scan passes ``batch_columns`` reference positions,
-    the completed window is assembled into a
-    :class:`~repro.pileup.column.ColumnBatch` and emitted (sliced
+    Reads arrive one at a time in coordinate order; each kept read is
+    encoded as a BAM record body (:func:`repro.io.bam.encode_record`)
+    and held until its window closes.  Because every later read starts
+    at or after the current one, all columns strictly left of the
+    newest read's start are complete: as soon as the scan passes
+    ``batch_columns`` reference positions, the window's reads and the
+    reads carried over from the last window are decoded as one
+    :class:`~repro.io.bam.RecordSpan` and deposited by
+    :func:`pileup_batch_from_records` -- the kernel the batched
+    engine's BAM path uses -- and the batch is emitted (sliced
     zero-copy into work units of at most ``batch_columns`` columns,
-    strand/mapq planes still lazy), and its segments are released.
+    strand/mapq planes still lazy).  Reads reaching past the window
+    carry into the next one.
 
-    Peak construction memory is therefore bounded by the bases of one
-    window (roughly ``batch_columns`` x depth, plus one read span) --
-    **not** by the chunk being scanned, which is what lets a
+    Peak construction memory is therefore bounded by the reads of one
+    window (roughly ``batch_columns`` x depth bases, plus one read
+    span) -- **not** by the chunk being scanned, which is what lets a
     whole-genome region stream through the caller in constant memory.
 
     Columns, offsets, depth capping, ``min_baseq`` filtering and the
@@ -570,31 +583,19 @@ class ColumnBatchBuilder:
         region: Region,
         config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = BUILDER_BATCH_COLUMNS,
+        batch_columns: Optional[int] = BATCH_COLUMNS,
     ) -> None:
-        if batch_columns is not None and batch_columns <= 0:
-            raise ValueError(
-                f"batch_columns must be positive, got {batch_columns}"
-            )
         self.reference = reference
         self.region = region
         self.config = config or PileupConfig()
-        self.batch_columns = batch_columns
-        # Bound once per builder, not once per record: add_read sits
-        # on the hottest per-record path (import at call time avoids
-        # the io<->pileup module cycle at import time).
-        from repro.io.bam import aligned_base_arrays
-
-        self._aligned_base_arrays = aligned_base_arrays
+        self.batch_columns = check_batch_columns(batch_columns)
         #: True once a read at or beyond ``region.end`` has been seen:
         #: no further column can change, so driver loops may stop
         #: feeding reads (mirroring the streaming sweep's early break).
         self.done = False
-        self._pos_parts: List[np.ndarray] = []
-        self._code_parts: List[np.ndarray] = []
-        self._qual_parts: List[np.ndarray] = []
-        self._rev_flags: List[bool] = []
-        self._mapq_vals: List[int] = []
+        self._header = SamHeader(references=[(region.chrom, len(reference))])
+        self._carry: List[bytes] = []  # reads reaching past the last window
+        self._pending: List[bytes] = []  # reads kept since the last window
         self._flush_from = region.start
         self._last_read_pos = -1
         self._finished = False
@@ -607,15 +608,17 @@ class ColumnBatchBuilder:
         identical to :func:`repro.pileup.engine.pileup`.
 
         Raises:
-            ValueError: if the input violates coordinate sorting, or
-                the builder was already finished.
+            FormatError: if the input violates coordinate sorting.
+            ValueError: if the builder was already finished, or the
+                read does not encode as a BAM record (what
+                :meth:`repro.io.bam.BamWriter.write` rejects).
         """
         if self._finished:
             raise ValueError("builder already finished")
         if read.rname != self.region.chrom or read.is_unmapped:
             return []
         if read.pos < self._last_read_pos:
-            raise ValueError(
+            raise FormatError(
                 f"reads are not coordinate-sorted: {read.qname} at "
                 f"{read.pos} after {self._last_read_pos}"
             )
@@ -623,13 +626,17 @@ class ColumnBatchBuilder:
         if read.pos >= self.region.end:
             self.done = True
             return []
-        out = self._maybe_flush(read.pos)
+        out: List[ColumnBatch] = []
+        if (
+            self.batch_columns is not None
+            and read.pos - self._flush_from >= self.batch_columns
+        ):
+            out = self._flush(read.pos)
         if read.reference_end <= self.region.start:
             return out
         if not self.config.read_passes(read):
             return out
-        positions, codes, quals = self._aligned_base_arrays(read)
-        self._deposit(positions, codes, quals, read.is_reverse, read.mapq)
+        self._pending.append(encode_record(read, self._header))
         return out
 
     def finish(self) -> List[ColumnBatch]:
@@ -643,109 +650,24 @@ class ColumnBatchBuilder:
         self._finished = True
         return self._flush(self.region.end)
 
-    # -- internals ---------------------------------------------------------
-
-    def _deposit(
-        self,
-        positions: np.ndarray,
-        codes: np.ndarray,
-        quals: np.ndarray,
-        reverse: bool,
-        mapq: int,
-    ) -> None:
-        """Clip one read's segment to the region and keep it pending."""
-        lo = int(np.searchsorted(positions, self.region.start, side="left"))
-        hi = int(np.searchsorted(positions, self.region.end, side="left"))
-        if hi <= lo:
-            return
-        self._pos_parts.append(positions[lo:hi])
-        self._code_parts.append(codes[lo:hi])
-        self._qual_parts.append(quals[lo:hi])
-        self._rev_flags.append(bool(reverse))
-        self._mapq_vals.append(min(int(mapq), 255))
-
-    def _maybe_flush(self, frontier: int) -> List[ColumnBatch]:
-        """Flush the complete window once the scan has advanced at
-        least ``batch_columns`` positions past the last flush."""
-        if self.batch_columns is None:
+    def _flush(self, end: int) -> List[ColumnBatch]:
+        """Deposit the window ``[flush_from, end)`` from one span over
+        the carried and pending reads; carry the reads reaching past
+        ``end``."""
+        bodies = self._carry + self._pending
+        window = Region(self.region.chrom, self._flush_from, end)
+        self._flush_from = end
+        if not bodies:
             return []
-        if frontier - self._flush_from < self.batch_columns:
-            return []
-        return self._flush(frontier)
-
-    def _flush(self, bound: int) -> List[ColumnBatch]:
-        """Assemble and emit every column strictly left of ``bound``.
-
-        Segments straddling the boundary are split zero-copy (their
-        tails stay pending in arrival order, so a read spanning any
-        number of flush boundaries deposits into each window exactly
-        the bases that belong there, in the same within-column order
-        as a whole-chunk build).
-        """
-        bound = min(bound, self.region.end)
-        if bound <= self._flush_from:
-            return []
-        win_pos: List[np.ndarray] = []
-        win_codes: List[np.ndarray] = []
-        win_quals: List[np.ndarray] = []
-        win_rev: List[bool] = []
-        win_mapq: List[int] = []
-        keep_pos: List[np.ndarray] = []
-        keep_codes: List[np.ndarray] = []
-        keep_quals: List[np.ndarray] = []
-        keep_rev: List[bool] = []
-        keep_mapq: List[int] = []
-        for seg_pos, seg_codes, seg_quals, rev, mq in zip(
-            self._pos_parts,
-            self._code_parts,
-            self._qual_parts,
-            self._rev_flags,
-            self._mapq_vals,
-        ):
-            if int(seg_pos[-1]) < bound:
-                win_pos.append(seg_pos)
-                win_codes.append(seg_codes)
-                win_quals.append(seg_quals)
-                win_rev.append(rev)
-                win_mapq.append(mq)
-                continue
-            if int(seg_pos[0]) >= bound:
-                keep_pos.append(seg_pos)
-                keep_codes.append(seg_codes)
-                keep_quals.append(seg_quals)
-                keep_rev.append(rev)
-                keep_mapq.append(mq)
-                continue
-            cut = int(np.searchsorted(seg_pos, bound, side="left"))
-            win_pos.append(seg_pos[:cut])
-            win_codes.append(seg_codes[:cut])
-            win_quals.append(seg_quals[:cut])
-            win_rev.append(rev)
-            win_mapq.append(mq)
-            keep_pos.append(seg_pos[cut:])
-            keep_codes.append(seg_codes[cut:])
-            keep_quals.append(seg_quals[cut:])
-            keep_rev.append(rev)
-            keep_mapq.append(mq)
-        self._pos_parts = keep_pos
-        self._code_parts = keep_codes
-        self._qual_parts = keep_quals
-        self._rev_flags = keep_rev
-        self._mapq_vals = keep_mapq
-        self._flush_from = bound
-        if not win_pos:
-            return []
-        batch = _sorted_deposit(
-            self.region.chrom,
-            np.concatenate(win_pos),
-            np.concatenate(win_codes),
-            np.concatenate(win_quals),
-            np.array([p.size for p in win_pos], dtype=np.int64),
-            np.array(win_rev, dtype=bool),
-            np.array(win_mapq, dtype=np.uint8),
+        batch, rest = pileup_batch_from_records(
+            RecordSpan(bodies),
+            np.arange(len(bodies)),
             self.reference,
+            window,
             self.config,
         )
+        self._carry = [bodies[j] for j in rest]
+        self._pending = []
         return batch.split(self.batch_columns)
 
 
@@ -755,7 +677,7 @@ def iter_pileup_batches(
     region: Region,
     config: Optional[PileupConfig] = None,
     *,
-    batch_columns: Optional[int] = BUILDER_BATCH_COLUMNS,
+    batch_columns: Optional[int] = BATCH_COLUMNS,
 ) -> Iterator[ColumnBatch]:
     """Stream coordinate-sorted alignments through a
     :class:`ColumnBatchBuilder`, yielding bounded
@@ -775,8 +697,8 @@ def iter_pileup_batches(
             survivors = screen_batch(batch, alpha, config, stats)
 
     Raises:
-        ValueError: if the input violates coordinate sorting or
-            ``batch_columns`` is not positive.
+        FormatError: if the input violates coordinate sorting.
+        ValueError: if ``batch_columns`` is not positive.
     """
     builder = ColumnBatchBuilder(
         reference, region, config, batch_columns=batch_columns
@@ -796,14 +718,13 @@ def pileup_batch_from_reads(
 ) -> ColumnBatch:
     """Columnar pileup over coordinate-sorted alignments, as one batch.
 
-    The CIGAR-aware twin of :func:`pileup_batch_from_arrays`: each
-    read's aligned bases are decoded into flat arrays in one shot
-    (:func:`repro.io.bam.aligned_base_arrays`), concatenated in read
-    order, filtered, and stable-sorted by position -- so within a
-    column bases keep the streaming engine's deposit order and the
-    depth cap drops exactly the same reads.  Read-level semantics
-    (chromosome/region skips, flag filters, the coordinate-sort check)
-    are identical to :func:`repro.pileup.engine.pileup`.
+    The CIGAR-aware twin of :func:`pileup_batch_from_arrays`: the reads
+    are encoded as BAM records and deposited together by
+    :func:`pileup_batch_from_records` -- so within a column bases keep
+    the streaming engine's deposit order and the depth cap drops
+    exactly the same reads.  Read-level semantics (chromosome/region
+    skips, flag filters, the coordinate-sort check) are identical to
+    :func:`repro.pileup.engine.pileup`.
 
     Implemented as a one-window :class:`ColumnBatchBuilder` pass
     (``batch_columns=None``), so construction memory is the whole
@@ -818,7 +739,7 @@ def pileup_batch_from_reads(
     needs them (pure screen-outs skip them entirely).
 
     Raises:
-        ValueError: if the input violates coordinate sorting.
+        FormatError: if the input violates coordinate sorting.
     """
     builder = ColumnBatchBuilder(
         reference, region, config, batch_columns=None

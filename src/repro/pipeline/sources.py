@@ -51,8 +51,13 @@ from repro.io.errors import FormatError
 from repro.io.records import FLAG_UNMAPPED, AlignedRead
 from repro.io.regions import Region
 from repro.parallel.trace import Category, Tracer
-from repro.pileup.column import ColumnBatch, PileupColumn
-from repro.pileup.engine import PileupConfig, pileup, pileup_batches
+from repro.pileup.column import (
+    BATCH_COLUMNS,
+    ColumnBatch,
+    PileupColumn,
+    check_batch_columns,
+)
+from repro.pileup.engine import PileupConfig, pileup
 
 __all__ = [
     "BamSource",
@@ -67,12 +72,6 @@ __all__ = [
 #: ``FastaRecord`` values both work).
 ReferenceLike = Union[str, Mapping[str, object]]
 
-#: Default cap on the columns per emitted batch work unit, shared by
-#: every source (16 engine-sized slices).  Small enough that a
-#: worker's in-flight construction memory is a few batches, large
-#: enough to amortise the vectorised passes.
-DEFAULT_BATCH_COLUMNS = 16384
-
 #: Every BGZF reader counter :meth:`BamSource.io_stats` sums.
 _READER_COUNTERS = IO_COUNTERS + ("blocks_read", "time_decompress")
 
@@ -85,16 +84,6 @@ _KEEP, _SKIP, _STOP = range(3)
 #: read is pending (a plan crossing other contigs), bounding what they
 #: hold.
 _CHECK_RECORDS = 4096
-
-
-def _validate_batch_columns(batch_columns: Optional[int]) -> Optional[int]:
-    """Shared ``batch_columns`` contract of every source: a positive
-    column cap, or ``None`` for one batch per chunk."""
-    if batch_columns is not None and batch_columns <= 0:
-        raise ValueError(
-            f"batch_columns must be positive, got {batch_columns}"
-        )
-    return batch_columns
 
 
 @runtime_checkable
@@ -142,13 +131,13 @@ class ColumnsSource:
         columns: Iterable[PileupColumn],
         region: Region,
         *,
-        batch_columns: Optional[int] = DEFAULT_BATCH_COLUMNS,
+        batch_columns: Optional[int] = BATCH_COLUMNS,
     ) -> None:
         self._columns = columns
         self._materialised: Optional[List[PileupColumn]] = None
         self._lock = threading.Lock()
         self.region = region
-        self.batch_columns = _validate_batch_columns(batch_columns)
+        self.batch_columns = check_batch_columns(batch_columns)
 
     def regions(self) -> Sequence[Region]:
         """The single region the pre-built columns cover."""
@@ -226,14 +215,14 @@ class ReadsSource:
         region: Region,
         pileup_config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = DEFAULT_BATCH_COLUMNS,
+        batch_columns: Optional[int] = BATCH_COLUMNS,
     ) -> None:
         self._reads = reads
         self._consumed = False
         self.reference = reference
         self.region = region
         self.pileup_config = pileup_config or PileupConfig()
-        self.batch_columns = _validate_batch_columns(batch_columns)
+        self.batch_columns = check_batch_columns(batch_columns)
 
     def regions(self) -> Sequence[Region]:
         """The single region this read stream covers."""
@@ -272,11 +261,13 @@ class ReadsSource:
 
         Reads go through the incremental
         :class:`~repro.pileup.vectorized.ColumnBatchBuilder` (via
-        :func:`repro.pileup.engine.pileup_batches`): columns are never
-        lifted to per-column objects on the way and construction
-        memory stays one flush window, not the chunk.
+        :func:`~repro.pileup.vectorized.iter_pileup_batches`): columns
+        are never lifted to per-column objects on the way and
+        construction memory stays one flush window, not the chunk.
         """
-        return pileup_batches(
+        from repro.pileup.vectorized import iter_pileup_batches
+
+        return iter_pileup_batches(
             self._reads_for_pass(),
             self.reference,
             chunk,
@@ -308,12 +299,12 @@ class SampleSource:
         region: Optional[Region] = None,
         pileup_config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = DEFAULT_BATCH_COLUMNS,
+        batch_columns: Optional[int] = BATCH_COLUMNS,
     ) -> None:
         self.sample = sample
         self._region = region
         self.pileup_config = pileup_config or PileupConfig()
-        self.batch_columns = _validate_batch_columns(batch_columns)
+        self.batch_columns = check_batch_columns(batch_columns)
 
     def regions(self) -> Sequence[Region]:
         """The configured region, or the sample's whole genome."""
@@ -405,15 +396,15 @@ class BamSource:
             first reference only (one string cannot cover several
             contigs).
         pileup_config: pileup filtering parameters.
-        batch_columns: cap on the columns per emitted
-            :class:`~repro.pileup.column.ColumnBatch` work unit: a
-            chunk whose pileup covers more columns is re-sliced into
-            consecutive zero-copy sub-batches at the source, so
-            downstream per-batch structures (screen histograms,
-            survivor planes, per-unit call buffers) stay bounded even
-            for huge unchunked regions -- the engine no longer relies
-            solely on its own ``slice_columns`` guard.  ``None``
-            disables the re-slice (one batch per chunk).
+        batch_columns: the window of :meth:`batches_for`, in reference
+            positions, and the cap on the columns per emitted
+            :class:`~repro.pileup.column.ColumnBatch` work unit
+            (default :data:`~repro.pileup.column.BATCH_COLUMNS`, the
+            engine's screening slice): construction memory is one
+            window's reads, and downstream per-batch structures
+            (screen histograms, survivor planes, per-unit call
+            buffers) stay bounded even for huge unchunked regions.
+            ``None`` builds each chunk as one window and one batch.
         index: region-seek index.  ``None`` (default) lazily builds
             the per-contig linear index in memory on first region
             seek (one walk of the record headers, no record decode);
@@ -444,14 +435,14 @@ class BamSource:
         regions: Optional[Sequence[Region]] = None,
         pileup_config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = DEFAULT_BATCH_COLUMNS,
+        batch_columns: Optional[int] = BATCH_COLUMNS,
         index=None,
         cache_blocks: Optional[int] = None,
     ) -> None:
         from repro.io.bam import BamReader
 
         self.path = os.fspath(path)
-        self.batch_columns = _validate_batch_columns(batch_columns)
+        self.batch_columns = check_batch_columns(batch_columns)
         if cache_blocks is None:
             cache_blocks = self.DEFAULT_CACHE_BLOCKS
         if cache_blocks <= 0:
@@ -798,7 +789,7 @@ class BamSource:
                 if pos < last_pos:
                     check()
                     qname = body[32 : 31 + core[2]].decode("ascii")
-                    raise ValueError(
+                    raise FormatError(
                         f"reads are not coordinate-sorted: {qname} at "
                         f"{pos} after {last_pos}"
                     )

@@ -95,6 +95,22 @@ class TestRecordCodec:
         with pytest.raises(ValueError, match="name"):
             encode_record(read, header)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"mapq": 300},
+            {"flag": 1 << 16},
+            {"pos": 1 << 31},
+            {"tags": {"XC": ("c", 300)}},
+        ],
+    )
+    def test_out_of_range_number_raises(self, header, field):
+        """A number outside its BAM field is a ``ValueError``, not a
+        leaked ``struct.error``."""
+        read = make_read(**field)
+        with pytest.raises(ValueError, match="does not fit BAM"):
+            encode_record(read, header)
+
 
 class TestReg2Bin:
     def test_small_interval_deep_bin(self):
@@ -143,6 +159,39 @@ class TestBamFile:
             w.write(b"NOTBAM..")
         buf.seek(0)
         with pytest.raises(ValueError, match="magic"):
+            BamReader(buf)
+
+    def test_every_cut_header_is_a_format_error(self, header):
+        """A BAM cut anywhere inside its header -- every proper prefix
+        of the header bytes, re-wrapped in valid BGZF -- raises
+        ``FormatError`` naming the field that was cut."""
+        from repro.io import FormatError
+        from repro.io.bgzf import BgzfReader, BgzfWriter
+
+        buf = io.BytesIO()
+        with BamWriter(buf, header):
+            pass
+        buf.seek(0)
+        with BgzfReader(buf) as reader:
+            payload = reader.read()
+        assert len(payload) > 60
+        for n in range(len(payload)):
+            cut = io.BytesIO()
+            with BgzfWriter(cut) as writer:
+                writer.write(payload[:n])
+            cut.seek(0)
+            with pytest.raises(FormatError, match="cut short in"):
+                BamReader(cut)
+
+    def test_negative_header_length_is_a_format_error(self, header):
+        from repro.io import FormatError
+        from repro.io.bgzf import BgzfWriter
+
+        buf = io.BytesIO()
+        with BgzfWriter(buf) as writer:
+            writer.write(b"BAM\x01" + (-3).to_bytes(4, "little", signed=True))
+        buf.seek(0)
+        with pytest.raises(FormatError, match="text has negative length"):
             BamReader(buf)
 
     def test_seek_to_written_voffset(self, header, tmp_path):

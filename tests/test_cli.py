@@ -152,19 +152,25 @@ class TestCall:
     def test_parallel_call(self, workspace):
         from repro.io.vcf import read_vcf
 
-        out = workspace / "calls_par.vcf"
-        rc = main(
-            [
-                "call", str(workspace / "sample.bam"),
-                "--reference", str(workspace / "ref.fa"),
-                "--out", str(out),
-                "--workers", "3",
-            ]
-        )
-        assert rc == 0
         _, serial = read_vcf(workspace / "calls2.vcf")
-        _, par = read_vcf(out)
-        assert {(r.pos, r.alt) for r in par} == {(r.pos, r.alt) for r in serial}
+        # The defaults (batched engine, process backend), and the
+        # streaming engine under the thread backend.
+        for extra in ([], ["--engine", "streaming", "--backend", "thread"]):
+            out = workspace / "calls_par.vcf"
+            rc = main(
+                [
+                    "call", str(workspace / "sample.bam"),
+                    "--reference", str(workspace / "ref.fa"),
+                    "--out", str(out),
+                    "--workers", "3",
+                    *extra,
+                ]
+            )
+            assert rc == 0
+            _, par = read_vcf(out)
+            assert {(r.pos, r.alt) for r in par} == {
+                (r.pos, r.alt) for r in serial
+            }, extra
 
     def test_region_option(self, workspace):
         from repro.io.vcf import read_vcf
@@ -602,6 +608,71 @@ class TestIndexSubcommand:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "cut short" in err and "voffset" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index"],
+            ["call", "--engine", "streaming"],
+            ["call", "--engine", "batched"],
+        ],
+    )
+    def test_header_cut_bam_errors(self, workspace, tmp_path, capsys, argv):
+        """A BAM cut inside its header is one ``error:`` line and exit
+        2 from ``index`` and from ``call`` on either engine."""
+        from repro.io.bgzf import BgzfReader, BgzfWriter
+
+        with BgzfReader(str(workspace / "sample.bam")) as reader:
+            payload = reader.read()
+        cut = tmp_path / "head.bam"
+        with BgzfWriter(str(cut)) as writer:
+            writer.write(payload[:30])
+        out = tmp_path / "out.vcf"
+        extra = argv[1:]
+        if argv[0] == "call":
+            extra += ["--reference", str(workspace / "ref.fa"),
+                      "--out", str(out)]
+        rc = main([argv[0], str(cut), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "cut short in text" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--engine", "streaming"],
+            ["--engine", "batched"],
+            ["--engine", "batched", "--workers", "2", "--backend", "process"],
+        ],
+    )
+    def test_unsorted_bam_errors(self, tmp_path, capsys, extra):
+        """``call`` on a BAM whose reads are out of order exits 2 with
+        one ``error:`` line, like ``index`` on the same file."""
+        from repro.io.bam import write_bam
+        from repro.io.records import AlignedRead, SamHeader
+
+        header = SamHeader(references=[("chrU", 200)])
+        reads = [
+            AlignedRead.simple(f"r{i}", "chrU", pos, "ACGT" * 5, [30] * 20)
+            for i, pos in enumerate((50, 10, 60))
+        ]
+        bam = tmp_path / "unsorted.bam"
+        write_bam(bam, header, reads)
+        ref = tmp_path / "ref.fa"
+        ref.write_text(">chrU\n" + "A" * 200 + "\n")
+        out = tmp_path / "out.vcf"
+        rc = main(
+            ["call", str(bam), "--reference", str(ref), "--out", str(out),
+             *extra]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "unsorted" in err or "not coordinate-sorted" in err
+        assert not out.exists()
+        assert main(["index", str(bam)]) == 2
 
     def test_bai_loads_back(self, workspace):
         from repro.io.bai import BaiIndex

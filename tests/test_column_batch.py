@@ -13,13 +13,17 @@ import io
 import numpy as np
 import pytest
 
-from repro.io.bam import BamReader, BamWriter, aligned_base_arrays
+from repro.io.bam import BamReader, BamWriter
 from repro.io.cigar import CigarOp
 from repro.io.records import AlignedRead
 from repro.io.regions import Region
 from repro.pileup.column import ColumnBatch, PileupColumn, encode_read_bases
-from repro.pileup.engine import PileupConfig, pileup, pileup_batches
-from repro.pileup.vectorized import pileup_batch_from_reads, pileup_sample_batch
+from repro.pileup.engine import PileupConfig, pileup
+from repro.pileup.vectorized import (
+    iter_pileup_batches,
+    pileup_batch_from_reads,
+    pileup_sample_batch,
+)
 from repro.sim.genome import random_genome
 from repro.sim.haplotypes import random_panel
 from repro.sim.reads import ReadSimulator
@@ -101,7 +105,7 @@ class TestFourPathEquivalence:
             chrom=region.chrom,
         )
         swept = list(
-            pileup_batches(
+            iter_pileup_batches(
                 iter(reads), genome.sequence, region, config,
                 batch_columns=max(1, streaming.n_columns or 1),
             )
@@ -164,7 +168,7 @@ class TestFourPathEquivalence:
             iter(reads), genome.sequence, region, config
         )
         pieces = list(
-            pileup_batches(
+            iter_pileup_batches(
                 iter(reads), genome.sequence, region, config,
                 batch_columns=7,
             )
@@ -189,8 +193,6 @@ class TestColumnBatchBuilder:
     @pytest.mark.parametrize("seed", [101, 404])
     @pytest.mark.parametrize("batch_columns", [1, 7, 64, 4096])
     def test_streamed_equals_whole_chunk(self, seed, batch_columns):
-        from repro.pileup.vectorized import iter_pileup_batches
-
         genome, sample, config, region = _workload(seed)
         reads = sample.read_list()
         whole = pileup_batch_from_reads(
@@ -212,8 +214,6 @@ class TestColumnBatchBuilder:
         """With a flush window far smaller than the read length every
         read straddles several boundaries; each window must still get
         exactly its bases, in streaming deposit order."""
-        from repro.pileup.vectorized import iter_pileup_batches
-
         genome, sample, config, region = _workload(202)
         reads = sample.read_list()
         rl = sample.read_length
@@ -239,8 +239,6 @@ class TestColumnBatchBuilder:
             assert_columns_identical(a, b)
 
     def test_flushed_batches_keep_planes_lazy(self):
-        from repro.pileup.vectorized import iter_pileup_batches
-
         genome, sample, config, region = _workload(303)
         pieces = list(
             iter_pileup_batches(
@@ -252,7 +250,7 @@ class TestColumnBatchBuilder:
         assert all(not p.planes_materialised for p in pieces)
 
     def test_empty_input_yields_no_batches(self):
-        from repro.pileup.vectorized import ColumnBatchBuilder, iter_pileup_batches
+        from repro.pileup.vectorized import ColumnBatchBuilder
 
         region = Region("chrE", 0, 500)
         assert (
@@ -272,8 +270,6 @@ class TestColumnBatchBuilder:
     def test_all_filtered_input_yields_no_batches(self):
         """Bases all below min_baseq: windows assemble to nothing and
         no empty batches leak out."""
-        from repro.pileup.vectorized import iter_pileup_batches
-
         genome, sample, _, region = _workload(505)
         config = PileupConfig(min_baseq=60)  # above every emitted qual
         pieces = list(
@@ -287,8 +283,6 @@ class TestColumnBatchBuilder:
     def test_max_depth_caps_at_flush_boundaries(self):
         """A tight cap must drop the same reads whether a column sits
         mid-window or exactly at a flush boundary."""
-        from repro.pileup.vectorized import iter_pileup_batches
-
         genome, sample, _, _ = _workload(42)
         region = Region(genome.name, 0, len(genome))
         config = PileupConfig(max_depth=15)
@@ -565,6 +559,11 @@ class TestEncodeReadBases:
 
 
 class TestAlignedBaseArrays:
+    """One read's aligned bases as the builder deposits them (encoded
+    as a BAM record, expanded by the span decoder): with ``min_baseq``
+    0, its one-read batch holds each aligned base as a column of
+    depth 1, in reference order."""
+
     def _read(self, cigar, seq, qual=None, pos=10):
         qual = (
             np.asarray(qual, dtype=np.uint8)
@@ -576,9 +575,16 @@ class TestAlignedBaseArrays:
             cigar=cigar, seq=seq, qual=qual,
         )
 
+    def _arrays(self, read):
+        batch = pileup_batch_from_reads(
+            [read], "T" * 40, Region("c", 0, 40), PileupConfig(min_baseq=0)
+        )
+        assert (batch.depths == 1).all()
+        return batch.positions, batch.base_codes, batch.quals
+
     def test_simple_match(self):
         read = self._read([(CigarOp.M, 4)], "ACGT")
-        positions, codes, quals = aligned_base_arrays(read)
+        positions, codes, quals = self._arrays(read)
         assert positions.tolist() == [10, 11, 12, 13]
         assert codes.tolist() == [0, 1, 2, 3]
         assert quals.tolist() == [30] * 4
@@ -587,7 +593,7 @@ class TestAlignedBaseArrays:
         read = self._read(
             [(CigarOp.M, 2), (CigarOp.I, 2), (CigarOp.M, 2)], "ACGTAC"
         )
-        positions, codes, quals = aligned_base_arrays(read)
+        positions, codes, quals = self._arrays(read)
         assert positions.tolist() == [10, 11, 12, 13]
         assert codes.tolist() == [0, 1, 0, 1]  # A C | (GT skipped) | A C
 
@@ -595,7 +601,7 @@ class TestAlignedBaseArrays:
         read = self._read(
             [(CigarOp.M, 2), (CigarOp.D, 3), (CigarOp.M, 2)], "ACGT"
         )
-        positions, codes, _ = aligned_base_arrays(read)
+        positions, codes, _ = self._arrays(read)
         assert positions.tolist() == [10, 11, 15, 16]
         assert codes.tolist() == [0, 1, 2, 3]
 
@@ -603,18 +609,18 @@ class TestAlignedBaseArrays:
         read = self._read(
             [(CigarOp.S, 2), (CigarOp.M, 2)], "GGAC"
         )
-        positions, codes, _ = aligned_base_arrays(read)
+        positions, codes, _ = self._arrays(read)
         assert positions.tolist() == [10, 11]
         assert codes.tolist() == [0, 1]
 
     def test_missing_quality_reads_as_zero(self):
         read = self._read([(CigarOp.M, 3)], "ACG", qual=[])
-        _, _, quals = aligned_base_arrays(read)
+        _, _, quals = self._arrays(read)
         assert quals.tolist() == [0, 0, 0]
 
     def test_missing_seq_has_no_bases(self):
         read = self._read([(CigarOp.M, 20)], "", qual=[])
-        positions, codes, quals = aligned_base_arrays(read)
+        positions, codes, quals = self._arrays(read)
         assert positions.size == codes.size == quals.size == 0
 
     def test_matches_streaming_deposit(self):
@@ -628,7 +634,7 @@ class TestAlignedBaseArrays:
         reference = "T" * 40
         config = PileupConfig(min_baseq=0)
         stream = list(pileup([read], reference, region, config))
-        positions, codes, quals = aligned_base_arrays(read)
+        positions, codes, quals = self._arrays(read)
         assert [c.pos for c in stream] == positions.tolist()
         assert [int(c.base_codes[0]) for c in stream] == codes.tolist()
         assert [int(c.quals[0]) for c in stream] == quals.tolist()

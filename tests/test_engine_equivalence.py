@@ -78,7 +78,9 @@ def assert_equivalent(streaming, batched):
 def test_engines_identical(dataset, use_approximation):
     streaming = Pipeline(
         SampleSource(dataset),
-        config=CallerConfig(use_approximation=use_approximation),
+        config=CallerConfig(
+            use_approximation=use_approximation, engine="streaming"
+        ),
     ).run()
     batched = Pipeline(
         SampleSource(dataset),
@@ -94,7 +96,11 @@ def test_engines_identical_merge_mapq(dataset, use_approximation):
     censuses must still match the streaming engine byte-for-byte."""
     streaming = Pipeline(
         SampleSource(dataset),
-        config=CallerConfig(use_approximation=use_approximation, merge_mapq=True),
+        config=CallerConfig(
+            use_approximation=use_approximation,
+            merge_mapq=True,
+            engine="streaming",
+        ),
     ).run()
     batched = Pipeline(
         SampleSource(dataset),
@@ -115,7 +121,9 @@ def test_engines_identical_at_depth_cap(dataset, use_approximation):
     pileup_config = PileupConfig(max_depth=40)
     streaming = Pipeline(
         SampleSource(dataset, pileup_config=pileup_config),
-        config=CallerConfig(use_approximation=use_approximation),
+        config=CallerConfig(
+            use_approximation=use_approximation, engine="streaming"
+        ),
     ).run()
     batched = Pipeline(
         SampleSource(dataset, pileup_config=pileup_config),
@@ -311,7 +319,8 @@ def test_batched_engine_zero_pileup_columns_end_to_end(
     byte-identical to the streaming engine."""
     dataset = _dataset("deep")  # has survivors and emitted calls
     streaming = Pipeline(
-        SampleSource(dataset), config=CallerConfig(merge_mapq=merge_mapq)
+        SampleSource(dataset),
+        config=CallerConfig(merge_mapq=merge_mapq, engine="streaming"),
     ).run()
 
     census = _ColumnCensus(monkeypatch)
@@ -538,7 +547,7 @@ def test_mapq_profile_engine_equivalence():
     for merge_mapq in (False, True):
         streaming = Pipeline(
             SampleSource(sample, pileup_config=pileup_config),
-            config=CallerConfig(merge_mapq=merge_mapq),
+            config=CallerConfig(merge_mapq=merge_mapq, engine="streaming"),
         ).run()
         batched = Pipeline(
             SampleSource(sample, pileup_config=pileup_config),

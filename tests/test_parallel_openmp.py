@@ -64,13 +64,21 @@ class TestBamSource:
     def test_bam_parallel_matches_single(self, sample, genome, tmp_path):
         bam = tmp_path / "p.bam"
         sample.write_bam(bam)
-        single = Pipeline(BamSource(bam, genome.sequence)).run()
-        for mode in ("thread", "process"):
-            policy = ExecutionPolicy(mode=mode, n_workers=3, chunk_columns=256)
-            result = Pipeline(
-                BamSource(str(bam), genome.sequence), policy=policy
-            ).run()
-            assert result.keys() == single.keys(), mode
+        single = Pipeline(
+            BamSource(bam, genome.sequence),
+            config=CallerConfig(engine="streaming"),
+        ).run()
+        for engine in ("streaming", "batched"):
+            for mode in ("thread", "process"):
+                policy = ExecutionPolicy(
+                    mode=mode, n_workers=3, chunk_columns=256
+                )
+                result = Pipeline(
+                    BamSource(str(bam), genome.sequence),
+                    config=CallerConfig(engine=engine),
+                    policy=policy,
+                ).run()
+                assert result.keys() == single.keys(), (engine, mode)
 
     def test_bam_source_traces_decompression(self, sample, genome, tmp_path):
         bam = tmp_path / "t.bam"

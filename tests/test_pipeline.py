@@ -20,6 +20,7 @@ from repro.io.fasta import write_fasta
 from repro.io.records import SamHeader
 from repro.io.regions import Region
 from repro.io.vcf import read_vcf, write_vcf
+from repro.pileup.column import BATCH_COLUMNS
 from repro.pileup.engine import PileupConfig, pileup
 from repro.pipeline import (
     BamSource,
@@ -33,6 +34,11 @@ from repro.pipeline import (
     TeeSink,
     VcfSink,
 )
+
+#: The oracle's engine: the pre-redesign loop walked columns one at a
+#: time.  Pipeline-side checks run under every engine in ``ENGINES``.
+STREAMING = CallerConfig(engine="streaming")
+ENGINES = ("streaming", "batched")
 
 
 def reference_call_bam(
@@ -125,38 +131,59 @@ class TestShimEquivalence:
     def test_call_bam_vcf_byte_identical(self, bam_workspace, genome):
         _, bam = bam_workspace
         contigs = [(genome.name, len(genome))]
-        old = reference_call_bam(VariantCaller(), bam, genome.sequence)
-        new = Pipeline(BamSource(bam, genome.sequence)).run()
-        assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs)
+        old = reference_call_bam(VariantCaller(STREAMING), bam, genome.sequence)
+        for engine in ENGINES:
+            new = Pipeline(
+                BamSource(bam, genome.sequence),
+                config=CallerConfig(engine=engine),
+            ).run()
+            assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs), engine
 
     def test_call_bam_region_byte_identical(self, bam_workspace, genome):
         _, bam = bam_workspace
         region = Region(genome.name, 100, 900)
         contigs = [(genome.name, len(genome))]
-        old = reference_call_bam(VariantCaller(), bam, genome.sequence, region)
-        new = Pipeline(BamSource(bam, genome.sequence, regions=[region])).run()
-        assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs)
+        old = reference_call_bam(
+            VariantCaller(STREAMING), bam, genome.sequence, region
+        )
+        for engine in ENGINES:
+            new = Pipeline(
+                BamSource(bam, genome.sequence, regions=[region]),
+                config=CallerConfig(engine=engine),
+            ).run()
+            assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs), engine
 
     def test_parallel_call_vcf_byte_identical(self, bam_workspace, genome):
         _, bam = bam_workspace
         contigs = [(genome.name, len(genome))]
-        old = reference_call_bam(VariantCaller(), bam, genome.sequence)
-        for policy in (
-            ExecutionPolicy(mode="serial", chunk_columns=256),
-            ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=256),
-        ):
-            new = Pipeline(
-                BamSource(str(bam), genome.sequence), policy=policy
-            ).run()
-            assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs), policy
+        old = reference_call_bam(VariantCaller(STREAMING), bam, genome.sequence)
+        for engine in ENGINES:
+            for policy in (
+                ExecutionPolicy(mode="serial", chunk_columns=256),
+                ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=256),
+                ExecutionPolicy(mode="process", n_workers=2, chunk_columns=256),
+            ):
+                new = Pipeline(
+                    BamSource(str(bam), genome.sequence),
+                    config=CallerConfig(engine=engine),
+                    policy=policy,
+                ).run()
+                assert vcf_bytes(old, contigs) == vcf_bytes(new, contigs), (
+                    engine,
+                    policy,
+                )
 
     def test_call_bam_stats_counters_match(self, bam_workspace, genome):
         _, bam = bam_workspace
-        old = reference_call_bam(VariantCaller(), bam, genome.sequence)
-        new = Pipeline(BamSource(bam, genome.sequence)).run()
-        assert old.stats.columns_seen == new.stats.columns_seen
-        assert old.stats.tests_run == new.stats.tests_run
-        assert old.stats.decisions == new.stats.decisions
+        old = reference_call_bam(VariantCaller(STREAMING), bam, genome.sequence)
+        for engine in ENGINES:
+            new = Pipeline(
+                BamSource(bam, genome.sequence),
+                config=CallerConfig(engine=engine),
+            ).run()
+            assert old.stats.columns_seen == new.stats.columns_seen, engine
+            assert old.stats.tests_run == new.stats.tests_run, engine
+            assert old.stats.decisions == new.stats.decisions, engine
 
     def test_legacy_policy_matches_inline_legacy(self, bam_workspace, genome):
         """``ExecutionPolicy(mode="legacy")`` over a BAM -- what
@@ -167,7 +194,7 @@ class TestShimEquivalence:
         from repro.parallel.partition import partition_region
 
         _, bam = bam_workspace
-        config = CallerConfig.improved()
+        config = CallerConfig.improved(engine="streaming")
         policy = DynamicFilterPolicy()
         region = Region(genome.name, 0, len(genome))
         merged_stats = RunStats()
@@ -185,13 +212,14 @@ class TestShimEquivalence:
             calls=apply_filters(survivors, policy.fit(survivors)),
             stats=merged_stats,
         )
-        got = Pipeline(
-            BamSource(bam, genome.sequence),
-            config=config,
-            policy=ExecutionPolicy(mode="legacy", n_workers=4),
-        ).run()
         contigs = [(genome.name, len(genome))]
-        assert vcf_bytes(oracle, contigs) == vcf_bytes(got, contigs)
+        for engine in ENGINES:
+            got = Pipeline(
+                BamSource(bam, genome.sequence),
+                config=CallerConfig.improved(engine=engine),
+                policy=ExecutionPolicy(mode="legacy", n_workers=4),
+            ).run()
+            assert vcf_bytes(oracle, contigs) == vcf_bytes(got, contigs), engine
 
 
 class TestSources:
@@ -228,6 +256,44 @@ class TestSources:
         a = list(source.columns_for(whole_region))
         b = list(source.columns_for(whole_region))
         assert len(a) == len(b) > 0
+
+    def test_reads_source_unavailable_qualities(
+        self, sample, genome, whole_region
+    ):
+        """A read whose qualities are all 255 (BAM's "unavailable")
+        deposits quality 0 on both engines, as after a BAM round trip."""
+        import dataclasses
+
+        import numpy as np
+
+        def every_third(reads, value):
+            return [
+                dataclasses.replace(r, qual=np.full(r.qual.size, value, np.uint8))
+                if i % 3 == 0
+                else r
+                for i, r in enumerate(reads)
+            ]
+
+        reads = sample.read_list()
+        contigs = [(genome.name, len(genome))]
+        for min_baseq in (0, PileupConfig().min_baseq):
+            cfg = PileupConfig(min_baseq=min_baseq)
+            want = Pipeline(
+                ReadsSource(every_third(reads, 0), genome.sequence, whole_region, cfg),
+                config=STREAMING,
+            ).run()
+            for engine in ENGINES:
+                got = Pipeline(
+                    ReadsSource(
+                        every_third(reads, 255), genome.sequence, whole_region, cfg
+                    ),
+                    config=CallerConfig(engine=engine),
+                ).run()
+                assert vcf_bytes(got, contigs) == vcf_bytes(want, contigs), (
+                    min_baseq,
+                    engine,
+                )
+                assert got.stats.decisions == want.stats.decisions
 
     def test_bam_source_default_regions_cover_header(self, multi_contig):
         source = BamSource(multi_contig["bam"], multi_contig["refmap"])
@@ -473,7 +539,10 @@ class TestExecutionPolicy:
         assert not out.exists()
 
     def test_batched_engine_through_pipeline(self, sample):
-        streaming = Pipeline(SampleSource(sample)).run()
+        streaming = Pipeline(
+            SampleSource(sample),
+            config=CallerConfig.improved(engine="streaming"),
+        ).run()
         batched = Pipeline(
             SampleSource(sample),
             config=CallerConfig.improved(engine="batched"),
@@ -490,9 +559,13 @@ class TestBamSourceBatchColumns:
     def test_default_single_unit_below_cap(self, bam_workspace, genome):
         _, bam = bam_workspace
         source = BamSource(bam, genome.sequence)
-        region = source.regions()[0]
-        batches = list(source.batches_for(region))
-        assert len(batches) == 1  # 1200 columns < default 16384 cap
+        contig = source.regions()[0]
+        below = Region(contig.chrom, 0, BATCH_COLUMNS)
+        assert len(list(source.batches_for(below))) == 1
+        # The 1200-column contig spans two default windows.
+        batches = list(source.batches_for(contig))
+        assert len(batches) == 2
+        assert all(b.n_columns <= BATCH_COLUMNS for b in batches)
 
     def test_batches_stream_lazily(self, bam_workspace, genome):
         """batches_for is a generator: pulling the first batch must not
@@ -647,9 +720,12 @@ class TestStreamingColumnsFor:
 
     def test_streaming_engine_pipeline_unchanged(self, bam_workspace, genome):
         _, bam = bam_workspace
-        expected = reference_call_bam(VariantCaller(), str(bam), genome.sequence)
+        expected = reference_call_bam(
+            VariantCaller(STREAMING), str(bam), genome.sequence
+        )
         result = Pipeline(
             BamSource(bam, genome.sequence),
+            config=STREAMING,
             policy=ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=128),
         ).run()
         assert result.keys() == expected.keys()

@@ -35,7 +35,7 @@ from repro.io.records import (
     SamHeader,
 )
 from repro.io.regions import Region
-from repro.pileup.column import ColumnBatch
+from repro.pileup.column import BATCH_COLUMNS, ColumnBatch
 from repro.pileup.engine import PileupConfig
 from repro.pipeline import BamSource, Pipeline, VcfSink
 
@@ -269,6 +269,61 @@ class TestSpanMatchesStreaming:
                 ).batches_for(region)
             )
             assert_batches_identical(expected, merged(batches, "ctgA"))
+
+    def test_long_reads_deposit_only_each_window(self, tmp_path, monkeypatch):
+        """Ungapped reads of one length, longer than ``BATCH_COLUMNS``,
+        go through the counting deposit (which expands each read whole)
+        only in windows at least as wide as a read, through the
+        stable-sort deposit in narrower ones, and equal the streaming
+        columns either way."""
+        from repro.pileup import vectorized
+
+        length, rl = 4000, 1500
+        assert rl > BATCH_COLUMNS
+        rng = np.random.default_rng(9)
+        reference = {"chr": "".join(rng.choice(list("ACGT"), length))}
+        reads = [
+            AlignedRead(
+                qname=f"l{i}", flag=FLAG_REVERSE if i % 2 else 0, rname="chr",
+                pos=int(pos), mapq=60, cigar=[(CigarOp.M, rl)],
+                seq="".join(rng.choice(list("ACGT"), rl)),
+                qual=rng.integers(0, 41, rl).astype(np.uint8),
+            )
+            for i, pos in enumerate(np.sort(rng.integers(0, length - rl, 40)))
+        ]
+        path = tmp_path / "long.bam"
+        with BamWriter(str(path), SamHeader(references=[("chr", length)])) as writer:
+            for read in reads:
+                writer.write(read)
+        region = Region("chr", 0, length)
+        config = PileupConfig(max_depth=25)
+        expected = streaming_batch(
+            BamSource(str(path), reference, pileup_config=config), region
+        )
+        widths, sorts = [], []
+        counting = vectorized.pileup_batch_from_arrays
+        sort = vectorized._sorted_deposit
+
+        def spy_counting(*args, **kwargs):
+            widths.append(len(args[5]))
+            return counting(*args, **kwargs)
+
+        def spy_sort(*args, **kwargs):
+            sorts.append(args[0])
+            return sort(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "pileup_batch_from_arrays", spy_counting)
+        monkeypatch.setattr(vectorized, "_sorted_deposit", spy_sort)
+        for cap in (BATCH_COLUMNS, None):
+            widths.clear()
+            sorts.clear()
+            source = BamSource(
+                str(path), reference, pileup_config=config, batch_columns=cap
+            )
+            batches = list(source.batches_for(region))
+            assert all(width >= rl for width in widths), cap
+            assert bool(sorts) == (cap is not None), cap
+            assert_batches_identical(expected, merged(batches, "chr"))
 
     def test_builds_no_aligned_read(self, tmp_path, monkeypatch):
         """The batched BAM path decodes records without AlignedRead."""
@@ -648,3 +703,7 @@ class TestDecodeRecordTotal:
             return
         span = RecordSpan([bodies[0], body, bodies[-1]])
         assert list(span.suspects()) == ([1] if rejected else [])
+        # Checking from a later record leaves the earlier ones out.
+        assert list(span.suspects(1)) == ([1] if rejected else [])
+        assert list(span.suspects(2)) == []
+        assert list(span.suspects(3)) == []
