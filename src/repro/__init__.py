@@ -36,7 +36,6 @@ from repro.io.regions import Region
 from repro.pileup import PileupColumn, PileupConfig, pileup
 from repro.pipeline import (
     BamSource,
-    ColumnsSource,
     ExecutionPolicy,
     JsonlSink,
     Pipeline,
@@ -66,7 +65,6 @@ __all__ = [
     "CallResult",
     "CallerConfig",
     "ColumnDecision",
-    "ColumnsSource",
     "DynamicFilterPolicy",
     "ExecutionPolicy",
     "JsonlSink",

@@ -343,25 +343,21 @@ def _resolve_call_regions(args, references, header_refs):
     """Work out which regions to call and which contigs label the
     output header.  Returns ``(regions, contigs)`` or an error string.
     """
-    from repro.io.regions import Region, parse_region
+    from repro.io.regions import Region, resolve_region
 
-    lengths = dict(header_refs)
     if args.region and args.all_contigs:
         return "--all-contigs and --region are mutually exclusive"
     if args.region:
         # Resolve the contig from the requested region, not from the
         # header's first reference -- a FASTA covering only the named
         # contig is enough.
-        chrom = args.region.strip().split(":", 1)[0]
-        if chrom not in lengths:
-            return f"region contig {chrom!r} not in the BAM header"
-        if chrom not in references:
-            return f"region contig {chrom!r} not in {args.reference}"
         try:
-            region = parse_region(args.region, reference_length=lengths[chrom])
+            region = resolve_region(
+                args.region, header_refs, references, args.reference
+            )
         except ValueError as exc:
             return str(exc)
-        return [region], [(chrom, lengths[chrom])]
+        return [region], [(region.chrom, dict(header_refs)[region.chrom])]
     if args.all_contigs:
         missing = [n for n, _ in header_refs if n not in references]
         if missing:

@@ -17,12 +17,7 @@
   and :class:`CallResult`.
 """
 
-from repro.core.batched import (
-    evaluate_batch,
-    evaluate_columns_batched,
-    exact_batch,
-    screen_batch,
-)
+from repro.core.batched import evaluate_batch, exact_batch, screen_batch
 from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.core.filters import (
@@ -54,7 +49,6 @@ __all__ = [
     "decide_allele",
     "evaluate_batch",
     "evaluate_column",
-    "evaluate_columns_batched",
     "exact_allele_decision",
     "exact_batch",
     "screen_batch",

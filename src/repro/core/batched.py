@@ -61,19 +61,14 @@ on every input, not just statistically close:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import CallerConfig
 from repro.core.model import allele_error_probabilities_batch
 from repro.core.results import ColumnDecision, RunStats, VariantCall
-from repro.pileup.column import (
-    BATCH_COLUMNS,
-    CODE_TO_BASE,
-    ColumnBatch,
-    PileupColumn,
-)
+from repro.pileup.column import BATCH_COLUMNS, CODE_TO_BASE, ColumnBatch
 from repro.stats.approximation import (
     poisson_tail_approx,
     poisson_tail_approx_batch,
@@ -85,7 +80,6 @@ __all__ = [
     "GUARD_BAND",
     "dp4_batch",
     "evaluate_batch",
-    "evaluate_columns_batched",
     "exact_batch",
     "batch_margins",
     "merged_qual_prob_table",
@@ -571,8 +565,7 @@ def evaluate_batch(
     """
     if batch.n_columns > BATCH_COLUMNS:
         # Bound the screen's per-column histograms (256 bins each) to
-        # a constant number of columns, exactly like the loose-column
-        # buffering path.
+        # a constant number of columns.
         calls: List[VariantCall] = []
         for lo in range(0, batch.n_columns, BATCH_COLUMNS):
             calls.extend(
@@ -588,51 +581,3 @@ def evaluate_batch(
         return calls
     survivors = screen_batch(batch, corrected_alpha, config, stats)
     return exact_batch(batch, survivors, corrected_alpha, config, stats)
-
-
-def evaluate_columns_batched(
-    columns: Iterable[PileupColumn],
-    corrected_alpha: float,
-    config: CallerConfig,
-    stats: RunStats,
-) -> List[VariantCall]:
-    """Chunk-level equivalent of looping
-    :func:`~repro.core.workflow.evaluate_column` over ``columns``.
-
-    Compatibility shim for loose per-column inputs: consecutive
-    same-chromosome runs are packed into a
-    :class:`~repro.pileup.column.ColumnBatch` and fed to
-    :func:`evaluate_batch`, so loose columns and native batches run
-    the identical columnar engine.
-
-    Args:
-        columns: the chunk's pileup columns, any order (a chromosome
-            change starts a new pack).
-        corrected_alpha: per-test raw-p-value threshold.
-        config: workflow parameters (``config.engine`` is not consulted
-            here -- dispatch happens in the caller).
-        stats: counters, mutated in place; ends up with the same counts
-            the streaming engine would produce.
-
-    Returns:
-        The emitted calls (unsorted; the caller sorts).
-    """
-    calls: List[VariantCall] = []
-    run: List[PileupColumn] = []
-    for column in columns:
-        if run and column.chrom != run[0].chrom:
-            calls.extend(
-                evaluate_batch(
-                    ColumnBatch.from_columns(run), corrected_alpha, config,
-                    stats,
-                )
-            )
-            run = []
-        run.append(column)
-    if run:
-        calls.extend(
-            evaluate_batch(
-                ColumnBatch.from_columns(run), corrected_alpha, config, stats
-            )
-        )
-    return calls

@@ -31,6 +31,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import BinaryIO, Deque, List, Optional, Tuple, Union
 
 from repro.cachesim.lru import LruCache
+from repro.io.errors import FormatError
 
 __all__ = [
     "BgzfReader",
@@ -275,8 +276,11 @@ class BgzfReader:
             ``64 KiB * cache_blocks``).
 
     Raises:
-        ValueError: if ``cache_blocks`` is not positive or the stream
-            does not start with a BGZF block.
+        ValueError: if ``cache_blocks`` is not positive.
+        FormatError: if a block read (the first one here, any other on
+            a later read or seek) is malformed; the message names its
+            compressed offset, and the file when one was opened by
+            path.
     """
 
     def __init__(self, source: PathOrFile, cache_blocks: int = 1) -> None:
@@ -284,10 +288,14 @@ class BgzfReader:
         self._buffers: LruCache[int, Tuple[bytes, int]] = LruCache(
             cache_blocks
         )
+        #: the file this reader opened (``None`` for a caller's file
+        #: object); format errors name it
+        self._path: Optional[str] = None
         if hasattr(source, "read"):
             self._handle: BinaryIO = source  # type: ignore[assignment]
             self._owned = False
         else:
+            self._path = os.fspath(source)
             self._handle = open(source, "rb")
             self._owned = True
         self._block_start = 0  # compressed offset of current block
@@ -324,6 +332,14 @@ class BgzfReader:
 
     # -- block machinery ---------------------------------------------------
 
+    def _format_error(self, offset: int, what: str) -> FormatError:
+        """A :class:`~repro.io.errors.FormatError` naming the block's
+        compressed offset, and the file when this reader opened it."""
+        where = f"BGZF block at compressed offset {offset}"
+        if self._path is not None:
+            where = f"{self._path}: {where}"
+        return FormatError(f"{where}: {what}")
+
     def _read_block_at(self, offset: int) -> Tuple[bytes, int]:
         """Read and inflate the block at compressed ``offset``.
 
@@ -331,52 +347,62 @@ class BgzfReader:
         physical EOF.
 
         Raises:
-            ValueError: if the bytes at ``offset`` are not a valid BGZF
-                block (bad magic, missing BC subfield, truncation) or
-                fail the ISIZE/CRC check.
-            zlib.error: on corrupt deflate data.
+            FormatError: if the bytes at ``offset`` are not a valid
+                BGZF block (bad magic, missing BC subfield, truncation,
+                corrupt deflate data) or fail the ISIZE/CRC check.
         """
         self._handle.seek(offset)
         header = self._handle.read(_HEADER_SIZE)
         if len(header) == 0:
             return b"", 0
         if len(header) < _HEADER_SIZE:
-            raise ValueError("truncated BGZF block header")
+            raise self._format_error(offset, "truncated block header")
         magic = header[:4]
         if magic[:2] != b"\x1f\x8b":
-            raise ValueError(f"bad gzip magic {magic[:2]!r} at offset {offset}")
+            raise self._format_error(offset, f"bad gzip magic {magic[:2]!r}")
         if magic[2] != 8 or not magic[3] & 0x04:
-            raise ValueError("gzip member lacks FEXTRA; not a BGZF file")
+            raise self._format_error(
+                offset, "gzip member lacks FEXTRA; not a BGZF file"
+            )
         xlen = struct.unpack("<H", header[10:12])[0]
         extra = self._handle.read(xlen)
         if len(extra) < xlen:
-            raise ValueError("truncated BGZF extra field")
+            raise self._format_error(offset, "truncated extra field")
         bsize = None
         i = 0
         while i + 4 <= len(extra):
             si1, si2, slen = extra[i], extra[i + 1], struct.unpack(
                 "<H", extra[i + 2 : i + 4]
             )[0]
-            if si1 == ord("B") and si2 == ord("C") and slen == 2:
+            if (si1, si2, slen) == (66, 67, 2) and i + 6 <= xlen:  # "BC"
                 bsize = struct.unpack("<H", extra[i + 4 : i + 6])[0] + 1
             i += 4 + slen
         if bsize is None:
-            raise ValueError("BGZF BC subfield missing")
+            raise self._format_error(offset, "BC subfield missing")
         payload_len = bsize - _HEADER_SIZE - xlen - 8
+        if payload_len < 0:
+            raise self._format_error(
+                offset, f"block size {bsize} is smaller than its header"
+            )
         payload = self._handle.read(payload_len)
         crc_isize = self._handle.read(8)
         if len(payload) < payload_len or len(crc_isize) < 8:
-            raise ValueError("truncated BGZF block payload")
+            raise self._format_error(offset, "truncated block payload")
         t0 = time.perf_counter()
-        data = zlib.decompress(payload, -15)
+        try:
+            data = zlib.decompress(payload, -15)
+        except zlib.error as exc:
+            raise self._format_error(
+                offset, f"corrupt deflate data ({exc})"
+            ) from None
         self.time_decompress += time.perf_counter() - t0
         crc, isize = struct.unpack("<II", crc_isize)
         if len(data) != isize:
-            raise ValueError(
-                f"BGZF ISIZE mismatch: header says {isize}, got {len(data)}"
+            raise self._format_error(
+                offset, f"ISIZE mismatch: header says {isize}, got {len(data)}"
             )
         if (zlib.crc32(data) & 0xFFFFFFFF) != crc:
-            raise ValueError("BGZF CRC mismatch")
+            raise self._format_error(offset, "CRC mismatch")
         self.blocks_read += 1
         return data, bsize
 

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import List, Sequence
+from typing import Container, List, Sequence, Tuple
 
-__all__ = ["Region", "parse_region", "split_region", "merge_regions"]
+__all__ = [
+    "Region",
+    "merge_regions",
+    "parse_region",
+    "resolve_region",
+    "split_region",
+]
 
 _REGION_RE = re.compile(r"^([^:]+)(?::([\d,]+)(?:-([\d,]+))?)?$")
 
@@ -91,6 +97,41 @@ def parse_region(text: str, reference_length: int | None = None) -> Region:
     if start < 0:
         raise ValueError(f"region {text!r} starts before position 1")
     return Region(chrom, start, end)
+
+
+def resolve_region(
+    text: str,
+    contigs: Sequence[Tuple[str, int]],
+    references: Container[str],
+    reference_name: str,
+) -> Region:
+    """Resolve a caller-supplied region against a BAM and a reference.
+
+    The one rule set behind ``call --region`` and the service's region
+    requests: the contig must be one of the BAM header's ``contigs``
+    (``(name, length)`` pairs) and one of ``references`` (named
+    ``reference_name`` in errors); an end past the contig is clamped
+    to its length, so the Bonferroni scope never counts positions the
+    contig does not have.
+
+    Raises:
+        ValueError: on malformed text, a contig missing from the header
+            or the reference, or a start at or past the contig's end.
+    """
+    lengths = dict(contigs)
+    chrom = text.strip().split(":", 1)[0]
+    if chrom not in lengths:
+        raise ValueError(f"region contig {chrom!r} not in the BAM header")
+    if chrom not in references:
+        raise ValueError(f"region contig {chrom!r} not in {reference_name}")
+    length = lengths[chrom]
+    region = parse_region(text, reference_length=length)
+    if region.start >= length:
+        raise ValueError(
+            f"region {text.strip()!r} starts past the end of {chrom!r} "
+            f"({length} bp)"
+        )
+    return Region(chrom, region.start, min(region.end, length))
 
 
 def split_region(region: Region, n_chunks: int) -> List[Region]:

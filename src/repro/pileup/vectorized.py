@@ -106,12 +106,9 @@ def _batch_from_flat(
     positions: np.ndarray,
     codes: np.ndarray,
     quals: np.ndarray,
-    reverse: Optional[np.ndarray],
-    mapqs: Optional[np.ndarray],
     reference: str,
     cfg: PileupConfig,
-    *,
-    planes: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None,
+    planes: Callable[[], Tuple[np.ndarray, np.ndarray]],
 ) -> ColumnBatch:
     """Assemble a batch from flat per-base arrays.
 
@@ -120,11 +117,10 @@ def _batch_from_flat(
     makes the depth cap (keep the first ``max_depth``) agree with the
     streaming engine exactly.
 
-    The strand/mapq planes are either eager arrays or a deferred
-    ``planes`` thunk (producing the sorted-order pair); a deferred
-    thunk is carried into the batch, composed with the depth-cap mask
-    when one applies, so the scatters never run unless something
-    downstream reads the planes.
+    The strand/mapq planes come as a deferred ``planes`` thunk
+    (producing the sorted-order pair), carried into the batch and
+    composed with the depth-cap mask when one applies, so the scatters
+    never run unless something downstream reads the planes.
     """
     if positions.size == 0:
         return ColumnBatch.empty(chrom)
@@ -144,21 +140,15 @@ def _batch_from_flat(
         keep = within < cfg.max_depth
         codes = codes[keep]
         quals = quals[keep]
-        if planes is None:
-            reverse = reverse[keep]
-            mapqs = mapqs[keep]
-        else:
-            uncapped = planes
+        uncapped = planes
 
-            def planes(
-                _build: Callable[
-                    [], Tuple[np.ndarray, np.ndarray]
-                ] = uncapped,
-                _keep: np.ndarray = keep,
-            ) -> Tuple[np.ndarray, np.ndarray]:
-                """The deferred planes with the depth-cap mask folded in."""
-                rev, mq = _build()
-                return rev[_keep], mq[_keep]
+        def planes(
+            _build: Callable[[], Tuple[np.ndarray, np.ndarray]] = uncapped,
+            _keep: np.ndarray = keep,
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            """The deferred planes with the depth-cap mask folded in."""
+            rev, mq = _build()
+            return rev[_keep], mq[_keep]
 
         kept = np.minimum(depths, cfg.max_depth)
         capped = depths - kept
@@ -173,8 +163,6 @@ def _batch_from_flat(
         ref_bases=_ref_bases_at(reference, unique_pos),
         base_codes=codes,
         quals=quals,
-        reverse=reverse,
-        mapqs=mapqs,
         offsets=offsets,
         n_capped=capped,
         planes=planes,
@@ -362,15 +350,7 @@ def pileup_batch_from_arrays(
         return rev_reads[rows], mapqs
 
     return _batch_from_flat(
-        region.chrom,
-        pos_sorted,
-        c_sorted,
-        q_sorted,
-        None,
-        None,
-        reference,
-        cfg,
-        planes=planes,
+        region.chrom, pos_sorted, c_sorted, q_sorted, reference, cfg, planes
     )
 
 
@@ -434,11 +414,9 @@ def _sorted_deposit(
         positions[order],
         codes[order],
         quals[order],
-        None,
-        None,
         reference,
         cfg,
-        planes=planes,
+        planes,
     )
 
 

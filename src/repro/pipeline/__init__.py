@@ -3,9 +3,9 @@
 Every calling workload is the same three-stage pipe:
 
 * a **source** (:mod:`repro.pipeline.sources`) turns an input substrate
-  -- BAM file, read stream, in-memory sample, pre-built columns --
-  into ``(region, columns)`` work units, covering every contig of a
-  multi-contig BAM;
+  -- BAM file, read stream, in-memory sample -- into work units by
+  region (column batches for the batched engine, pileup columns for
+  the streaming one), covering every contig of a multi-contig BAM;
 * the **engine** (:mod:`repro.pipeline.engine`) evaluates the units
   under an :class:`ExecutionPolicy` (serial / thread / process / the
   deliberately buggy legacy demo) and post-filters the merged calls
@@ -22,9 +22,9 @@ One entry point::
         source, sinks=[VcfSink("calls.vcf", contigs=source.contigs)]
     ).run()
 
-This is the only way to call variants: a BAM, a read stream, a
-simulated sample and pre-built columns each have a source, and
-parallel and legacy runs are an :class:`ExecutionPolicy`.
+This is the only way to call variants: a BAM, a read stream and a
+simulated sample each have a source, and parallel and legacy runs are
+an :class:`ExecutionPolicy`.
 """
 
 from repro.pipeline.engine import ExecutionPolicy, Pipeline
@@ -38,7 +38,6 @@ from repro.pipeline.sinks import (
 from repro.pipeline.sources import (
     BamSource,
     ColumnSource,
-    ColumnsSource,
     ReadsSource,
     SampleSource,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "BamSource",
     "CallSink",
     "ColumnSource",
-    "ColumnsSource",
     "ExecutionPolicy",
     "JsonlSink",
     "Pipeline",

@@ -6,16 +6,19 @@ with an :class:`ExecutionPolicy` and a set of
 
 * work units are the source's regions, re-chunked for scheduling when
   ``chunk_columns`` is set;
-* workers evaluate chunks through
-  :meth:`~repro.core.caller.VariantCaller.call_columns` (streaming or
-  batched engine, per ``config.engine``), which returns raw calls;
-  under the batched engine, sources that speak columnar hand the
-  worker structure-of-arrays
-  :class:`~repro.pileup.column.ColumnBatch` units via ``batches_for``
-  instead of per-column objects;
+* each chunk is read in the engine's own unit type -- structure-of-
+  arrays :class:`~repro.pileup.column.ColumnBatch` spans from
+  ``batches_for`` under the batched engine, per-column
+  :class:`~repro.pileup.column.PileupColumn` objects from
+  ``columns_for`` under the streaming engine -- and every unit is
+  pulled outside the probability span and evaluated on its own
+  through :meth:`~repro.core.caller.VariantCaller.call_columns`, so
+  the trace's source and probability time stay disjoint and a lazy
+  chunk never sits in memory whole;
 * the dynamic post-filter runs exactly **once** on the merged calls --
   the paper's fix for the legacy wrapper's double-filtering bug --
   except in the deliberate ``"legacy"`` demonstration mode, which
+  evaluates each partition through the same unit loop and then
   reproduces the bug faithfully through
   :func:`repro.core.filters.filter_twice` (fit+apply per partition,
   then again on the merge);
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
@@ -95,23 +98,14 @@ def _chunk_units(
     chunk: Region,
     tracer: Tracer,
     worker: int,
-) -> Tuple[object, bool]:
-    """The work units of one chunk: structure-of-arrays batches for
-    the batched engine (when the source speaks columnar), per-column
-    objects otherwise.  Either form feeds
-    :meth:`VariantCaller.call_columns` unchanged.
-
-    Returns ``(units, is_batch_stream)``: batch streams may be lazy
-    generators whose batches are built only as the worker pulls them,
-    so the worker evaluates them one at a time (keeping in-flight
-    memory one batch, and the trace's source/probability attribution
-    disjoint).
-    """
+) -> Iterable[object]:
+    """The work units of one chunk, in the engine's own type:
+    :class:`~repro.pileup.column.ColumnBatch` spans under the batched
+    engine, :class:`~repro.pileup.column.PileupColumn` objects under
+    the streaming engine."""
     if caller.config.engine == "batched":
-        batches_for = getattr(source, "batches_for", None)
-        if batches_for is not None:
-            return batches_for(chunk, tracer, worker), True
-    return source.columns_for(chunk, tracer, worker), False
+        return source.batches_for(chunk, tracer, worker)
+    return source.columns_for(chunk, tracer, worker)
 
 
 def _evaluate_chunk(
@@ -125,22 +119,14 @@ def _evaluate_chunk(
 ) -> None:
     """Evaluate one chunk's work units into ``merged``.
 
-    Batch streams are pulled *outside* the probability span -- the
-    source records its own BAM_ITER/DECOMPRESS time per pull -- and
-    each batch is evaluated as its own unit, so a lazily-built chunk
-    never has all its batches in memory at once.
+    Units are pulled *outside* the probability span -- a source
+    records its own BAM_ITER/DECOMPRESS time per pull -- and each is
+    evaluated as its own unit, so the trace's categories never nest
+    and a lazily-built chunk is never in memory whole.
     """
-    units, is_batch_stream = _chunk_units(
-        source, caller, chunk, tracer, worker
-    )
-    if not is_batch_stream:
+    for unit in _chunk_units(source, caller, chunk, tracer, worker):
         with tracer.span(worker, Category.PROB):
-            result = caller.call_columns(units, scope)
-        merged.merge(result)
-        return
-    for batch in units:
-        with tracer.span(worker, Category.PROB):
-            result = caller.call_columns(batch, scope)
+            result = caller.call_columns((unit,), scope)
         merged.merge(result)
 
 
@@ -398,8 +384,10 @@ class Pipeline:
         partitions: List[List[VariantCall]] = []
         for region in regions:
             for part in partition_region(region, self.policy.n_workers):
-                columns = self.source.columns_for(part, tracer, 0)
-                result = caller.call_columns(columns, len(part))
+                result = CallResult(calls=[], stats=RunStats())
+                _evaluate_chunk(
+                    0, self.source, caller, part, len(part), tracer, result
+                )
                 merged_stats.merge(result.stats)
                 partitions.append(result.calls)
         return CallResult(

@@ -1,29 +1,33 @@
 """Column sources: the input side of the pipeline.
 
 A :class:`ColumnSource` owns an input substrate (a BAM file, a read
-stream, an in-memory sample, pre-built columns) and exposes it as
-``(region, columns)`` work units:
+stream, an in-memory sample) and exposes it as work units by region,
+in each engine's own unit type:
 
 * :meth:`ColumnSource.regions` declares the top-level regions the
   source is responsible for -- one per contig for a multi-contig BAM,
   which is how the pipeline calls across **every** reference instead
   of only ``header.references[0]``;
-* :meth:`ColumnSource.columns_for` produces the pileup columns of
-  any sub-interval of those regions (lazily where the substrate
-  permits -- :class:`BamSource` streams the ``pileup()`` generator
-  per column), so the execution layer is free to re-chunk regions
-  for scheduling;
-* :meth:`ColumnSource.batches_for` is the columnar spine: the same
-  span as structure-of-arrays
-  :class:`~repro.pileup.column.ColumnBatch` work units, which the
-  batched caller engine screens without materialising per-column
-  Python objects.  ``columns_for`` remains as the per-column
-  compatibility view (the streaming engine's input).
+* :meth:`ColumnSource.batches_for` produces any sub-interval of those
+  regions as structure-of-arrays
+  :class:`~repro.pileup.column.ColumnBatch` work units, the batched
+  engine's input, which it screens without materialising per-column
+  Python objects;
+* :meth:`ColumnSource.columns_for` produces the same span as
+  per-column :class:`~repro.pileup.column.PileupColumn` objects, the
+  streaming engine's (the oracle's) input.
 
-Both must be safe to call from multiple workers at once
-(:class:`BamSource` keeps one reader per worker; :class:`SampleSource`
-reads shared matrices), except :class:`ReadsSource` over a one-shot
-iterator, which supports exactly one pass and is documented as such.
+Both are lazy where the substrate permits (:class:`BamSource` streams
+one window or one column per pull), so the execution layer is free to
+re-chunk regions for scheduling.  Both must be safe to call from
+multiple workers at once (:class:`BamSource` keeps one reader per
+worker; :class:`SampleSource` reads shared matrices), except
+:class:`ReadsSource` over a one-shot iterator, which supports exactly
+one pass and is documented as such.  Pre-built columns need no
+source: :meth:`~repro.core.caller.VariantCaller.call_columns` takes
+them directly under the streaming engine, and
+:meth:`~repro.pileup.column.ColumnBatch.from_columns` packs them for
+the batched one.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from repro.pileup.engine import PileupConfig, pileup
 __all__ = [
     "BamSource",
     "ColumnSource",
-    "ColumnsSource",
     "ReadsSource",
     "SampleSource",
 ]
@@ -88,7 +91,9 @@ _CHECK_RECORDS = 4096
 
 @runtime_checkable
 class ColumnSource(Protocol):
-    """Anything that can hand the pipeline pileup columns by region."""
+    """Anything that can hand the pipeline work units by region: the
+    batched engine reads :meth:`batches_for`, the streaming engine
+    :meth:`columns_for`."""
 
     def regions(self) -> Sequence[Region]:
         """Top-level regions this source will produce columns for."""
@@ -111,83 +116,6 @@ class ColumnSource(Protocol):
     ) -> Iterable[ColumnBatch]:
         """The same span as structure-of-arrays batches."""
         ...
-
-
-class ColumnsSource:
-    """Pre-built pileup columns (unit tests, custom pileup engines).
-
-    Args:
-        columns: pileup columns covering ``region`` (any iterable; a
-            one-shot iterator is materialised on first use).
-        region: the Bonferroni scope the columns represent.
-        batch_columns: cap on the columns packed into one emitted
-            :class:`~repro.pileup.column.ColumnBatch` work unit, so
-            each pack's flat copies stay bounded; ``None`` packs each
-            chunk as a single batch.
-    """
-
-    def __init__(
-        self,
-        columns: Iterable[PileupColumn],
-        region: Region,
-        *,
-        batch_columns: Optional[int] = BATCH_COLUMNS,
-    ) -> None:
-        self._columns = columns
-        self._materialised: Optional[List[PileupColumn]] = None
-        self._lock = threading.Lock()
-        self.region = region
-        self.batch_columns = check_batch_columns(batch_columns)
-
-    def regions(self) -> Sequence[Region]:
-        """The single region the pre-built columns cover."""
-        return [self.region]
-
-    def _materialise(self) -> List[PileupColumn]:
-        # Double-checked under a lock: concurrent workers must not
-        # split a shared one-shot iterator between them.
-        if self._materialised is None:
-            with self._lock:
-                if self._materialised is None:
-                    self._materialised = list(self._columns)
-        return self._materialised
-
-    def columns_for(
-        self,
-        chunk: Region,
-        tracer: Optional[Tracer] = None,
-        worker: int = 0,
-    ) -> List[PileupColumn]:
-        """The pre-built columns falling inside ``chunk``."""
-        return [
-            c
-            for c in self._materialise()
-            if c.chrom == chunk.chrom and chunk.start <= c.pos < chunk.end
-        ]
-
-    def batches_for(
-        self,
-        chunk: Region,
-        tracer: Optional[Tracer] = None,
-        worker: int = 0,
-    ) -> List[ColumnBatch]:
-        """The chunk's columns packed into bounded batches.
-
-        A compatibility bridge (pre-built columns are per-column by
-        construction): consecutive runs of at most ``batch_columns``
-        columns are packed through
-        :meth:`~repro.pileup.column.ColumnBatch.from_columns`, so each
-        pack's flat copies stay bounded like the streaming sources'
-        work units.
-        """
-        cols = self.columns_for(chunk, tracer, worker)
-        cap = self.batch_columns or max(len(cols), 1)
-        if not cols:
-            return [ColumnBatch.from_columns([], chrom=chunk.chrom)]
-        return [
-            ColumnBatch.from_columns(cols[lo : lo + cap], chrom=chunk.chrom)
-            for lo in range(0, len(cols), cap)
-        ]
 
 
 class ReadsSource:

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cachesim.lru import LruCache
 from repro.core.results import CallResult
-from repro.io.regions import Region, parse_region
+from repro.io.regions import Region, resolve_region
 from repro.serve.cache import CachedResult
 from repro.serve.models import (
     CallRequest,
@@ -231,32 +231,28 @@ class ShardWorker(threading.Thread):
     def _resolve_regions(
         self, request: CallRequest, source
     ) -> Tuple[List[Region], List[Tuple[str, int]]]:
-        """The request's regions and the VCF-header contig list.
-
-        Mirrors the CLI's resolution: a named region yields that one
-        span (and its contig labels the header); a whole-file request
-        covers every header contig.
+        """The request's regions and the VCF-header contig list: a
+        whole-file request covers every header contig; a named region
+        goes through :func:`repro.io.regions.resolve_region`, the rules
+        ``call --region`` applies.
 
         Raises:
-            ValidationError: if the region names a contig absent from
-                the BAM header or the reference mapping.
+            ValidationError: if the region does not resolve (a contig
+                absent from the BAM header or the reference, a start
+                past the contig's end, malformed text).
         """
-        lengths = dict(source.contigs)
         if request.region is None:
             return list(source.regions()), list(source.contigs)
-        text = request.region.strip()
-        chrom = text.split(":", 1)[0]
-        if chrom not in lengths:
-            raise ValidationError(
-                f"region contig {chrom!r} not in the BAM header"
-            )
+        references = self._reference_for(
+            FileFingerprint.of(request.reference)
+        )
         try:
-            region = parse_region(text, reference_length=lengths[chrom])
+            region = resolve_region(
+                request.region, source.contigs, references, request.reference
+            )
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        if region.end > lengths[chrom]:
-            region = Region(chrom, region.start, lengths[chrom])
-        return [region], [(chrom, lengths[chrom])]
+        return [region], [(region.chrom, dict(source.contigs)[region.chrom])]
 
     def _render(self, request: CallRequest, key: ResultKey) -> CachedResult:
         """Execute one request on this worker's warm state.

@@ -2,10 +2,10 @@
 
 import gzip
 import io
-import zlib
 
 import pytest
 
+from repro.io import FormatError
 from repro.io.bgzf import (
     BGZF_EOF,
     BgzfReader,
@@ -98,7 +98,7 @@ class TestFormatCompliance:
         raw = bytearray(buf.getvalue())
         # Flip a payload byte in the first block (after the 18-byte header).
         raw[25] ^= 0xFF
-        with pytest.raises(Exception):  # zlib error or CRC mismatch
+        with pytest.raises(FormatError):  # corrupt deflate or CRC mismatch
             BgzfReader(io.BytesIO(bytes(raw))).read()
 
 
@@ -300,9 +300,71 @@ class TestCorruptStreams:
         try:
             with BgzfReader(io.BytesIO(bytes(raw)), cache_blocks=4) as reader:
                 got = reader.read()
-        except (ValueError, zlib.error):
+        except FormatError:
             return
         assert got == payload
+
+
+class TestFormatErrors:
+    """Every malformed block raises FormatError naming its compressed
+    offset, and the file when the reader opened one by path."""
+
+    @staticmethod
+    def _damaged(damage):
+        """A two-block stream with its second block damaged, and that
+        block's compressed offset."""
+        raw = bytearray(_bgzf_bytes(b"A" * MAX_BLOCK_DATA + b"B" * 1000))
+        start = block_offsets(io.BytesIO(bytes(raw)))[1]
+        bsize = int.from_bytes(raw[start + 16 : start + 18], "little") + 1
+        if damage == "magic":
+            raw[start] = 0
+        elif damage == "fextra":
+            raw[start + 3] = 0
+        elif damage == "header":
+            raw = raw[: start + 5]
+        elif damage == "extra":
+            raw = raw[: start + 14]
+        elif damage == "bc":
+            raw[start + 12] = ord("X")
+        elif damage == "bsize":
+            raw[start + 16 : start + 18] = (10).to_bytes(2, "little")
+        elif damage == "payload":
+            raw = raw[: start + 30]
+        elif damage == "deflate":
+            raw[start + 18] = 0x07  # BFINAL=1, BTYPE=11 (reserved)
+        elif damage == "isize":
+            raw[start + bsize - 4] ^= 0x01
+        else:  # crc
+            raw[start + bsize - 8] ^= 0x01
+        return bytes(raw), start
+
+    DAMAGES = [
+        ("magic", "bad gzip magic"),
+        ("fextra", "lacks FEXTRA"),
+        ("header", "truncated block header"),
+        ("extra", "truncated extra field"),
+        ("bc", "BC subfield missing"),
+        ("bsize", "smaller than its header"),
+        ("payload", "truncated block payload"),
+        ("deflate", "corrupt deflate data"),
+        ("isize", "ISIZE mismatch"),
+        ("crc", "CRC mismatch"),
+    ]
+
+    @pytest.mark.parametrize("damage, message", DAMAGES)
+    def test_malformed_block_names_offset_and_path(
+        self, tmp_path, damage, message
+    ):
+        raw, start = self._damaged(damage)
+        path = tmp_path / "damaged.bgz"
+        path.write_bytes(raw)
+        where = f"BGZF block at compressed offset {start}: "
+        cases = [(io.BytesIO(raw), where), (str(path), f"{path}: {where}")]
+        for source, prefix in cases:
+            with BgzfReader(source) as reader:
+                with pytest.raises(FormatError, match=message) as info:
+                    reader.read()
+            assert str(info.value).startswith(prefix)
 
 
 class TestParallelWriterFuzz:

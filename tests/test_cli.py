@@ -674,6 +674,47 @@ class TestIndexSubcommand:
         assert not out.exists()
         assert main(["index", str(bam)]) == 2
 
+    @pytest.mark.parametrize("damage", ["deflate", "isize"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index"],
+            ["call", "--engine", "batched"],
+            ["call", "--engine", "streaming"],
+            ["call", "--workers", "2", "--backend", "process"],
+        ],
+    )
+    def test_corrupt_bgzf_block_errors(
+        self, workspace, tmp_path, capsys, damage, argv
+    ):
+        """A BGZF block with invalid deflate data (a reserved block
+        type) or a wrong ISIZE is one ``error:`` line naming the file
+        and the block's compressed offset, and exit 2, from ``index``
+        and from ``call`` on either engine and with forked workers."""
+        from repro.io.bgzf import block_offsets
+
+        src = workspace / "sample.bam"
+        raw = bytearray(src.read_bytes())
+        start = block_offsets(str(src))[1]
+        if damage == "deflate":
+            raw[start + 18] = 0x07  # BFINAL=1, BTYPE=11
+        else:
+            bsize = int.from_bytes(raw[start + 16 : start + 18], "little") + 1
+            raw[start + bsize - 4] ^= 0x01
+        bad = tmp_path / "bad.bam"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "out.vcf"
+        extra = argv[1:]
+        if argv[0] == "call":
+            extra += ["--reference", str(workspace / "ref.fa"),
+                      "--out", str(out)]
+        rc = main([argv[0], str(bad), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{bad}: BGZF block at compressed offset {start}: " in err
+        assert not out.exists()
+
     def test_bai_loads_back(self, workspace):
         from repro.io.bai import BaiIndex
 

@@ -210,19 +210,21 @@ def test_batched_skips_most_tests_when_deep():
 # -- the columnar ColumnBatch spine -------------------------------------------
 
 
-def test_call_columns_accepts_column_batch(dataset):
-    """Feeding one ColumnBatch to call_columns must equal feeding the
-    same columns loosely, under both engines."""
-    from repro.pileup.vectorized import pileup_sample, pileup_sample_batch
+def test_call_columns_takes_each_engines_unit(dataset):
+    """Each engine evaluates its own unit type: the streaming engine
+    over a batch's per-column view equals the batched engine over the
+    batch itself."""
+    from repro.pileup.vectorized import pileup_sample_batch
 
     batch = pileup_sample_batch(dataset)
-    columns = list(pileup_sample(dataset))
     scope = len(dataset.genome)
-    for engine in ("streaming", "batched"):
-        caller = VariantCaller(CallerConfig(engine=engine))
-        from_batch = caller.call_columns(batch, scope)
-        from_columns = caller.call_columns(columns, scope)
-        assert_equivalent(from_columns, from_batch)
+    streaming = VariantCaller(CallerConfig(engine="streaming")).call_columns(
+        batch.columns(), scope
+    )
+    batched = VariantCaller(CallerConfig(engine="batched")).call_columns(
+        [batch], scope
+    )
+    assert_equivalent(streaming, batched)
 
 
 def test_batched_engine_over_bam_pipeline(tmp_path):
@@ -355,6 +357,33 @@ def test_batched_engine_zero_pileup_columns_over_bam(monkeypatch, tmp_path):
     batched = Pipeline(
         BamSource(bam, dataset.genome.sequence),
         config=CallerConfig(engine="batched"),
+    ).run()
+    assert census.constructed == 0
+    assert len(batched.calls) > 0
+    assert_equivalent(streaming, batched)
+
+
+def test_legacy_batched_builds_no_pileup_columns(monkeypatch, tmp_path):
+    """The legacy demo reads each partition in the engine's own unit
+    type: under the batched engine it builds zero PileupColumn
+    objects, and its calls equal the streaming legacy run's."""
+    from repro.pipeline import BamSource
+
+    dataset = _dataset("deep")
+    bam = tmp_path / "legacy.bam"
+    dataset.write_bam(bam)
+    legacy = ExecutionPolicy(mode="legacy", n_workers=4)
+    streaming = Pipeline(
+        BamSource(bam, dataset.genome.sequence),
+        config=CallerConfig(engine="streaming"),
+        policy=legacy,
+    ).run()
+
+    census = _ColumnCensus(monkeypatch)
+    batched = Pipeline(
+        BamSource(bam, dataset.genome.sequence),
+        config=CallerConfig(engine="batched"),
+        policy=legacy,
     ).run()
     assert census.constructed == 0
     assert len(batched.calls) > 0
@@ -579,12 +608,11 @@ def _sink_bytes(source, engine, sink_kind, contigs):
 def test_all_sources_byte_identical(
     tmp_path, dataset, engine, sink_kind
 ):
-    """All four source flavours (BAM, reads, sample, columns) produce
+    """All three source flavours (BAM, reads, sample) produce
     bit-for-bit the same pipeline output, for both engines and both
     sink formats."""
     from repro.io.regions import Region
-    from repro.pileup.vectorized import pileup_sample
-    from repro.pipeline import BamSource, ColumnsSource, ReadsSource
+    from repro.pipeline import BamSource, ReadsSource
 
     genome = dataset.genome
     region = Region(genome.name, 0, len(genome))
@@ -596,15 +624,6 @@ def test_all_sources_byte_identical(
     assert (
         _sink_bytes(
             ReadsSource(dataset.reads(), genome.sequence, region),
-            engine,
-            sink_kind,
-            contigs,
-        )
-        == baseline
-    )
-    assert (
-        _sink_bytes(
-            ColumnsSource(list(pileup_sample(dataset, region)), region),
             engine,
             sink_kind,
             contigs,

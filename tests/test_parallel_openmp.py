@@ -2,7 +2,9 @@
 guarantee is exact equivalence with a single-process run, for every
 scheduler, worker count and backend."""
 
+import bisect
 import dataclasses
+import time
 
 import pytest
 
@@ -93,6 +95,40 @@ class TestBamSource:
         assert Category.DECOMPRESS in cats
         assert Category.BAM_ITER in cats
         assert Category.PROB in cats
+
+    def test_streaming_trace_is_disjoint(self, sample, genome, tmp_path):
+        """Under the streaming engine every column is pulled outside
+        the probability spans: no DECOMPRESS or BAM_ITER event starts
+        inside a PROB event of the same worker, so the reported busy
+        time never exceeds the run's wall time."""
+        bam = tmp_path / "d.bam"
+        sample.write_bam(bam)
+        tracer = Tracer()
+        t0 = time.perf_counter()
+        Pipeline(
+            BamSource(str(bam), genome.sequence),
+            config=CallerConfig(engine="streaming"),
+            tracer=tracer,
+        ).run()
+        wall = time.perf_counter() - t0
+        events = tracer.events
+        prob = sorted(
+            (e.start, e.end)
+            for e in events
+            if e.category is Category.PROB and e.worker == 0
+        )
+        pulls = [
+            e
+            for e in events
+            if e.category in (Category.DECOMPRESS, Category.BAM_ITER)
+        ]
+        assert prob and pulls
+        assert {e.worker for e in events} == {0}
+        starts = [start for start, _ in prob]
+        for e in pulls:
+            i = bisect.bisect_right(starts, e.start) - 1
+            assert i < 0 or e.start >= prob[i][1], e
+        assert imbalance_metrics(events)["busy_max"] <= wall
 
 
 class TestStatsAndTrace:

@@ -24,7 +24,6 @@ from repro.pileup.column import BATCH_COLUMNS
 from repro.pileup.engine import PileupConfig, pileup
 from repro.pipeline import (
     BamSource,
-    ColumnsSource,
     ExecutionPolicy,
     JsonlSink,
     Pipeline,
@@ -223,19 +222,6 @@ class TestShimEquivalence:
 
 
 class TestSources:
-    def test_columns_source(self, columns, whole_region, sample):
-        single = Pipeline(SampleSource(sample)).run()
-        result = Pipeline(ColumnsSource(iter(columns), whole_region)).run()
-        assert result.keys() == single.keys()
-
-    def test_columns_source_chunked(self, columns, whole_region, sample):
-        single = Pipeline(SampleSource(sample)).run()
-        result = Pipeline(
-            ColumnsSource(columns, whole_region),
-            policy=ExecutionPolicy(mode="thread", n_workers=3, chunk_columns=128),
-        ).run()
-        assert result.keys() == single.keys()
-
     def test_reads_source_streaming(self, sample, genome, whole_region):
         single = Pipeline(SampleSource(sample)).run()
         result = Pipeline(

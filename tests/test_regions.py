@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.io.regions import Region, merge_regions, parse_region, split_region
+from repro.io.regions import (
+    Region,
+    merge_regions,
+    parse_region,
+    resolve_region,
+    split_region,
+)
 
 
 class TestRegion:
@@ -57,6 +63,31 @@ class TestParse:
     def test_zero_start_raises(self):
         with pytest.raises(ValueError):
             parse_region("c:0-10")
+
+
+class TestResolve:
+    CONTIGS = [("c1", 600), ("c2", 300)]
+
+    def resolve(self, text, references=("c1", "c2")):
+        return resolve_region(text, self.CONTIGS, references, "ref.fa")
+
+    def test_in_range_region_unchanged(self):
+        assert self.resolve("c2:11-20") == Region("c2", 10, 20)
+        assert self.resolve("c1") == Region("c1", 0, 600)
+
+    def test_end_clamped_to_contig(self):
+        assert self.resolve("c1:1-60000") == Region("c1", 0, 600)
+        assert self.resolve("c2:300-999") == Region("c2", 299, 300)
+
+    def test_start_past_end_rejected(self):
+        with pytest.raises(ValueError, match="past the end of 'c2'"):
+            self.resolve("c2:301-400")
+
+    def test_contig_must_be_in_header_and_reference(self):
+        with pytest.raises(ValueError, match="not in the BAM header"):
+            self.resolve("c3:1-10")
+        with pytest.raises(ValueError, match="not in ref.fa"):
+            self.resolve("c2:1-10", references=("c1",))
 
 
 class TestSplit:

@@ -463,3 +463,93 @@ class TestTcpFrontEnd:
         assert bad["status"] == "error" and bad["kind"] == "ValidationError"
         assert stats["status"] == "ok"
         assert stats["stats"]["computed"] == 1
+
+
+class TestRegionResolution:
+    """``call --region`` and region requests share one resolver: an end
+    past the contig is clamped, a start past it is an error."""
+
+    @pytest.fixture(scope="class")
+    def borderline(self, tmp_path_factory):
+        """Low-frequency variants whose calls depend on the Bonferroni
+        scope: counted over 60,000 positions instead of the contig's
+        600, one of the four calls drops."""
+        d = str(tmp_path_factory.mktemp("borderline"))
+        genome = sars_cov_2_like(length=600, seed=2)
+        panel = random_panel(genome.sequence, 4, freq_range=(0.01, 0.04), seed=2)
+        sample = ReadSimulator(genome, panel, read_length=80).simulate(
+            250, seed=2
+        )
+        bam = os.path.join(d, "sample.bam")
+        ref = os.path.join(d, "ref.fa")
+        sample.write_bam(bam)
+        write_fasta(ref, [genome])
+        return {"dir": d, "name": genome.name, "bam": bam, "ref": ref}
+
+    def _call(self, data, out, *extra):
+        from repro.cli import main
+
+        path = os.path.join(data["dir"], out)
+        rc = main(
+            ["call", data["bam"], "--reference", data["ref"], "--out", path,
+             *extra]
+        )
+        return rc, path
+
+    def test_over_long_region_is_the_whole_contig(self, borderline):
+        text = f"{borderline['name']}:1-60000"
+        rc, whole = self._call(borderline, "whole.vcf")
+        assert rc == 0
+        rc, long_ = self._call(borderline, "long.vcf", "--region", text)
+        assert rc == 0
+        with open(whole) as fh:
+            expected = fh.read()
+        with open(long_) as fh:
+            assert fh.read() == expected
+        with ServeClient(default_reference=borderline["ref"]) as client:
+            served = client.call(borderline["bam"], region=text)
+        assert served.body == expected
+        records = [ln for ln in expected.splitlines() if not ln.startswith("#")]
+        assert len(records) == 4
+
+    def test_start_past_the_end_is_rejected(self, borderline, capsys):
+        text = f"{borderline['name']}:7001-8000"
+        capsys.readouterr()
+        rc, out = self._call(borderline, "past.vcf", "--region", text)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "past the end" in err
+        assert not os.path.exists(out)
+
+        service = CallService(default_reference=borderline["ref"], n_workers=1)
+        request = CallRequest(
+            bam=borderline["bam"], reference=borderline["ref"], region=text
+        )
+
+        async def scenario():
+            with pytest.raises(ValidationError, match="past the end"):
+                await service.submit(request)
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def roundtrip(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            bad = await roundtrip({"bam": borderline["bam"], "region": text})
+            good = await roundtrip({"bam": borderline["bam"]})
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return bad, good
+
+        try:
+            bad, good = asyncio.run(scenario())
+        finally:
+            service.close()
+        assert bad["status"] == "error" and bad["kind"] == "ValidationError"
+        assert "past the end" in bad["error"]
+        assert good["status"] == "ok" and good["body"]
