@@ -274,9 +274,10 @@ def test_span_path_bounded_construction_memory(tmp_path):
     Even the fast profile's 3,000-column region is three default
     windows, so a default that made each region one window fails here.
 
-    The source is warmed first (reader, seek index, one pass) and
-    holds one decompressed BGZF block, so the measured peak is the
-    windows' own: record bodies, gathers and deposits.
+    The source is warmed first (reader, seek index, one pass), which
+    leaves every block of the file in its reader's block cache, so the
+    measured peak is the windows' own: record bodies, gathers and
+    deposits.
     """
     from conftest import FAST
 
@@ -294,7 +295,7 @@ def test_span_path_bounded_construction_memory(tmp_path):
     with BamWriter(str(bam), sample.header()) as writer:
         for read in sample.reads():
             writer.write(read)
-    source = BamSource(bam, genome.sequence, cache_blocks=1)
+    source = BamSource(bam, genome.sequence)
     half = Region(genome.name, 0, length // 2)
     full = Region(genome.name, 0, length)
 

@@ -13,10 +13,10 @@ Subcommands mirror the original tool-chain:
   serial, OpenMP-style parallel, or the legacy buggy parallel mode
   for demonstration); ``--all-contigs`` covers every reference of a
   multi-contig BAM, ``--index`` consumes a pre-built ``.bai``,
-  ``--cache-blocks`` sizes the per-reader decompressed-block LRU,
   ``--output-format {vcf,jsonl}`` picks the output dialect and
   ``--stats-json`` emits machine-readable run stats.  The subcommand
-  is a thin adapter over :mod:`repro.pipeline`.
+  is a thin adapter over :mod:`repro.pipeline`; an input that does
+  not parse exits 2 with one ``error:`` line.
 * ``serve`` -- run the long-running calling service
   (:mod:`repro.serve`): a TCP front end whose requests name
   ``(bam, region, config)``, with request coalescing, warm-reader
@@ -162,14 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro-lofreq index' or any samtools-compatible tool); "
         "default builds a linear index in memory when needed",
     )
-    p_call.add_argument(
-        "--cache-blocks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="decompressed BGZF blocks cached per worker reader "
-        "(~64 KiB each; default 32)",
-    )
     p_call.add_argument("--workers", type=int, default=1)
     p_call.add_argument(
         "--schedule",
@@ -246,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="N",
         help="warm BAM sources kept per worker (LRU)",
-    )
-    p_serve.add_argument(
-        "--cache-blocks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="decompressed BGZF blocks cached per warm reader "
-        "(~64 KiB each; default 32)",
     )
 
     p_cmp = sub.add_parser("compare", help="concordance between two VCFs")
@@ -387,8 +371,8 @@ def _cmd_call(args: argparse.Namespace) -> int:
         VcfSink,
     )
 
-    references = load_reference(args.reference)
     try:
+        references = load_reference(args.reference)
         with BamReader(args.bam) as reader:
             header_refs = list(reader.header.references)
     except (ValueError, OSError) as exc:
@@ -443,17 +427,12 @@ def _cmd_call(args: argparse.Namespace) -> int:
                 DEFAULT_MAX_DEPTH if args.max_depth is None else args.max_depth
             ),
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         source = BamSource(
             args.bam,
             references,
             regions=regions,
             pileup_config=pileup_config,
             index=args.index,
-            cache_blocks=args.cache_blocks,
         )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -507,7 +486,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             result_cache_entries=args.result_cache,
             warm_sources=args.warm_sources,
-            cache_blocks=args.cache_blocks,
             on_full=args.on_full,
         )
     except ValueError as exc:

@@ -25,9 +25,9 @@ __all__ = [
     "IO_COUNTERS",
 ]
 
-#: The BGZF block-cache counters a BAM-backed run folds into
+#: The BGZF block-cache counters a BAM-backed run adds to
 #: :class:`RunStats`: the names of both the reader attributes and the
-#: stats fields, summed over readers by ``BamSource.io_stats()``.
+#: stats fields, counted per chunk stream by ``BamSource``.
 IO_COUNTERS = ("cache_hits", "cache_misses", "cache_evictions")
 
 

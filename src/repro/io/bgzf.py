@@ -14,10 +14,12 @@ Virtual offsets follow the htslib convention::
 The module implements a serial reader with ``seek``/``tell`` on
 virtual offsets and a private LRU of decompressed blocks, and a
 writer that emits spec-compliant blocks plus the 28-byte EOF sentinel
-block.  Because every block is an independent deflate stream, the
-writer can deflate in a pool (``compress_threads=N``) while committing
-blocks strictly in submission order, so its output is bit-identical
-to the serial writer's.
+block.  The reader requires that sentinel (any empty last block): a
+stream whose last block holds data was cut short.  Because every
+block is an independent deflate stream, the writer can deflate in a
+pool (``compress_threads=N``) while committing blocks strictly in
+submission order, so its output is bit-identical to the serial
+writer's.
 """
 
 from __future__ import annotations
@@ -278,7 +280,8 @@ class BgzfReader:
     Raises:
         ValueError: if ``cache_blocks`` is not positive.
         FormatError: if a block read (the first one here, any other on
-            a later read or seek) is malformed; the message names its
+            a later read or seek) is malformed, or the stream ends
+            without its EOF marker block; the message names the
             compressed offset, and the file when one was opened by
             path.
     """
@@ -452,10 +455,15 @@ class BgzfReader:
         return False
 
     def _advance(self) -> bool:
-        """Load the next non-empty block; False at physical EOF."""
+        """Load the next non-empty block; False at physical EOF, which
+        must follow an empty block (the EOF marker)."""
         while True:
             data, size = self._cached_block_at(self._next_block)
             if size == 0:
+                if self._block_data:
+                    raise self._format_error(
+                        self._next_block, "no BGZF EOF marker: file truncated"
+                    )
                 self._eof = True
                 return False
             self._block_start = self._next_block
@@ -544,8 +552,6 @@ def block_offsets(source: PathOrFile) -> List[int]:
             offsets.append(reader._block_start)
         while reader._advance():
             offsets.append(reader._block_start)
-    except EOFError:
-        pass
     finally:
         reader.close()
     return offsets

@@ -3,6 +3,8 @@
 The reference genome enters the pipeline through this module.  Records
 are simple ``(name, description, sequence)`` triples; sequences are
 uppercased on read so downstream base comparisons are case-insensitive.
+Text that is not FASTA raises :class:`~repro.io.errors.FormatError`
+naming the line, and the file when one was opened by path.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import os
 from typing import Dict, Iterable, Iterator, List, TextIO, Union
+
+from repro.io.errors import FormatError
 
 __all__ = ["FastaRecord", "read_fasta", "write_fasta", "load_reference"]
 
@@ -40,18 +44,17 @@ def _open_text(source: PathOrFile, mode: str) -> tuple[TextIO, bool]:
     return open(source, mode), True
 
 
-def read_fasta(source: PathOrFile) -> Iterator[FastaRecord]:
-    """Iterate :class:`FastaRecord` objects from a path or text handle.
-
-    Raises:
-        ValueError: if sequence data precedes the first ``>`` defline.
-    """
+def _records(source: PathOrFile, unique: bool) -> Iterator[FastaRecord]:
+    """The records of ``source``; ``unique`` rejects a repeated name.
+    Errors name the line, and the file when one was opened by path."""
     handle, owned = _open_text(source, "r")
+    where = f"{os.fspath(source)}: " if owned else ""
+    first: Dict[str, int] = {}
     try:
         name: str | None = None
         desc = ""
         chunks: List[str] = []
-        for raw in handle:
+        for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -62,15 +65,32 @@ def read_fasta(source: PathOrFile) -> Iterator[FastaRecord]:
                 name = parts[0] if parts else ""
                 desc = parts[1] if len(parts) > 1 else ""
                 chunks = []
+                if unique and name in first:
+                    raise FormatError(
+                        f"{where}line {lineno}: duplicate FASTA record "
+                        f"{name!r} (first at line {first[name]})"
+                    )
+                first[name] = lineno
             else:
                 if name is None:
-                    raise ValueError("FASTA data before first '>' defline")
+                    raise FormatError(
+                        f"{where}line {lineno}: FASTA data before first '>' defline"
+                    )
                 chunks.append(line)
         if name is not None:
             yield FastaRecord(name, desc, "".join(chunks).upper())
     finally:
         if owned:
             handle.close()
+
+
+def read_fasta(source: PathOrFile) -> Iterator[FastaRecord]:
+    """Iterate :class:`FastaRecord` objects from a path or text handle.
+
+    Raises:
+        FormatError: if sequence data precedes the first ``>`` defline.
+    """
+    return _records(source, unique=False)
 
 
 def write_fasta(
@@ -96,11 +116,7 @@ def load_reference(source: PathOrFile) -> Dict[str, str]:
     """Load a FASTA file into ``{name: sequence}``.
 
     Raises:
-        ValueError: on duplicate sequence names.
+        FormatError: on sequence data before the first ``>`` defline,
+            or a record name used twice.
     """
-    out: Dict[str, str] = {}
-    for rec in read_fasta(source):
-        if rec.name in out:
-            raise ValueError(f"duplicate FASTA record {rec.name!r}")
-        out[rec.name] = rec.sequence
-    return out
+    return {rec.name: rec.sequence for rec in _records(source, unique=True)}

@@ -15,6 +15,9 @@ with an :class:`ExecutionPolicy` and a set of
   through :meth:`~repro.core.caller.VariantCaller.call_columns`, so
   the trace's source and probability time stay disjoint and a lazy
   chunk never sits in memory whole;
+* each chunk stream adds the I/O it made (BGZF block-cache lookups) to
+  the stats of the worker that pulls it, so a run's counters cover
+  that run alone, on every backend;
 * the dynamic post-filter runs exactly **once** on the merged calls --
   the paper's fix for the legacy wrapper's double-filtering bug --
   except in the deliberate ``"legacy"`` demonstration mode, which
@@ -37,7 +40,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.core.caller import VariantCaller
 from repro.core.config import CallerConfig
 from repro.core.filters import DynamicFilterPolicy, filter_once, filter_twice
-from repro.core.results import IO_COUNTERS, CallResult, RunStats, VariantCall
+from repro.core.results import CallResult, RunStats, VariantCall
 from repro.io.regions import Region
 from repro.parallel.partition import chunk_region, partition_region
 from repro.parallel.scheduler import make_scheduler
@@ -98,14 +101,15 @@ def _chunk_units(
     chunk: Region,
     tracer: Tracer,
     worker: int,
+    stats: RunStats,
 ) -> Iterable[object]:
     """The work units of one chunk, in the engine's own type:
     :class:`~repro.pileup.column.ColumnBatch` spans under the batched
     engine, :class:`~repro.pileup.column.PileupColumn` objects under
-    the streaming engine."""
+    the streaming engine.  The stream adds its I/O to ``stats``."""
     if caller.config.engine == "batched":
-        return source.batches_for(chunk, tracer, worker)
-    return source.columns_for(chunk, tracer, worker)
+        return source.batches_for(chunk, tracer, worker, stats)
+    return source.columns_for(chunk, tracer, worker, stats)
 
 
 def _evaluate_chunk(
@@ -122,9 +126,10 @@ def _evaluate_chunk(
     Units are pulled *outside* the probability span -- a source
     records its own BAM_ITER/DECOMPRESS time per pull -- and each is
     evaluated as its own unit, so the trace's categories never nest
-    and a lazily-built chunk is never in memory whole.
+    and a lazily-built chunk is never in memory whole.  The chunk
+    stream counts its I/O into ``merged.stats``.
     """
-    for unit in _chunk_units(source, caller, chunk, tracer, worker):
+    for unit in _chunk_units(source, caller, chunk, tracer, worker, merged.stats):
         with tracer.span(worker, Category.PROB):
             result = caller.call_columns((unit,), scope)
         merged.merge(result)
@@ -241,18 +246,6 @@ class Pipeline:
                     stats=merged.stats,
                 )
             result = merged
-        # Fold the source's I/O counters (BGZF block-cache hit/miss/
-        # eviction tallies from every reader it created) into the run
-        # stats before the sinks snapshot them.  Process-backend
-        # children already folded their own readers' deltas into the
-        # stats they returned (see _process_worker), so this fold adds
-        # exactly the parent-side readers and nothing double-counts.
-        io_stats = getattr(self.source, "io_stats", None)
-        if io_stats is not None:
-            counters = io_stats()
-            for name in IO_COUNTERS:
-                total = getattr(result.stats, name) + int(counters.get(name, 0))
-                setattr(result.stats, name, total)
         # Sinks only open once calling has succeeded (filter labels are
         # fitted on the complete call set anyway, so nothing could
         # stream earlier) -- a failed run never leaves a header-only
@@ -402,28 +395,14 @@ _FORK_STATE: dict = {}
 
 
 def _process_worker(args: Tuple[int, List[Region]]):
-    """One forked worker's chunk loop.
-
-    Readers this child creates live in its own address space, so their
-    block-cache counters would be invisible to the parent; the child
-    folds its ``io_stats()`` *delta* (new counts minus whatever was
-    inherited from pre-fork readers via copy-on-write) into the
-    returned stats, and the parent's own post-run ``io_stats()`` fold
-    covers only parent-side readers -- totals add up exactly once.
-    """
+    """One forked worker's chunk loop; its chunk streams count their
+    I/O into the stats it returns."""
     worker, chunk_list = args
     source = _FORK_STATE["source"]
     caller = _FORK_STATE["caller"]
     scope = _FORK_STATE["scope"]
     tracer = Tracer()
     merged = CallResult(calls=[], stats=RunStats())
-    io_stats = getattr(source, "io_stats", None)
-    baseline = io_stats() if io_stats is not None else None
     for chunk in chunk_list:
         _evaluate_chunk(worker, source, caller, chunk, scope, tracer, merged)
-    if baseline is not None:
-        counters = io_stats()
-        for name in IO_COUNTERS:
-            delta = int(counters.get(name, 0)) - int(baseline.get(name, 0))
-            setattr(merged.stats, name, getattr(merged.stats, name) + delta)
     return merged.calls, merged.stats, tracer.events

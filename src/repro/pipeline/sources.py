@@ -23,7 +23,10 @@ re-chunk regions for scheduling.  Both must be safe to call from
 multiple workers at once (:class:`BamSource` keeps one reader per
 worker; :class:`SampleSource` reads shared matrices), except
 :class:`ReadsSource` over a one-shot iterator, which supports exactly
-one pass and is documented as such.  Pre-built columns need no
+one pass and is documented as such.  Both take the pulling worker's
+:class:`~repro.core.results.RunStats`, to which :class:`BamSource`
+adds its stream's block-cache lookups; the in-memory sources ignore
+it.  Pre-built columns need no
 source: :meth:`~repro.core.caller.VariantCaller.call_columns` takes
 them directly under the streaming engine, and
 :meth:`~repro.pileup.column.ColumnBatch.from_columns` packs them for
@@ -50,7 +53,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.results import IO_COUNTERS
+from repro.core.results import IO_COUNTERS, RunStats
 from repro.io.errors import FormatError
 from repro.io.records import FLAG_UNMAPPED, AlignedRead
 from repro.io.regions import Region
@@ -74,9 +77,6 @@ __all__ = [
 #: a mapping ``{contig name: sequence}`` (``load_reference`` output or
 #: ``FastaRecord`` values both work).
 ReferenceLike = Union[str, Mapping[str, object]]
-
-#: Every BGZF reader counter :meth:`BamSource.io_stats` sums.
-_READER_COUNTERS = IO_COUNTERS + ("blocks_read", "time_decompress")
 
 #: Where a record read by a :class:`BamSource` seek plan sits relative
 #: to the chunk: on its contig before its end, on an earlier contig, or
@@ -104,6 +104,7 @@ class ColumnSource(Protocol):
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[PileupColumn]:
         """Columns of ``chunk`` (any sub-interval of a region)."""
         ...
@@ -113,6 +114,7 @@ class ColumnSource(Protocol):
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[ColumnBatch]:
         """The same span as structure-of-arrays batches."""
         ...
@@ -173,6 +175,7 @@ class ReadsSource:
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[PileupColumn]:
         """The chunk's columns through the streaming pileup sweep."""
         return pileup(
@@ -184,6 +187,7 @@ class ReadsSource:
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[ColumnBatch]:
         """The chunk as a lazy stream of bounded batches.
 
@@ -247,6 +251,7 @@ class SampleSource:
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> List[PileupColumn]:
         """The chunk's columns through the vectorised sample pileup."""
         from repro.pileup.vectorized import pileup_sample
@@ -262,6 +267,7 @@ class SampleSource:
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[ColumnBatch]:
         """The chunk as a lazy stream of bounded batches built
         directly from the sample's matrices -- no per-column slicing
@@ -307,10 +313,11 @@ class BamSource:
     O(log) binned seek plan, or a ``.bai`` path); the common serial
     whole-file case streams from the first record without paying for
     an index scan.  Per-worker readers keep an LRU buffer of
-    decompressed BGZF blocks (``cache_blocks``), so repeated or
-    overlapping region traffic stops re-inflating the same blocks;
-    the buffer's hit/miss/eviction counters aggregate through
-    :meth:`io_stats` into :class:`~repro.core.results.RunStats`.
+    :data:`DEFAULT_CACHE_BLOCKS` decompressed BGZF blocks, so repeated
+    or overlapping region traffic stops re-inflating the same blocks.
+    Each chunk stream adds the lookups it made (and the header-block
+    load of a reader it opened) to the pulling worker's
+    :class:`~repro.core.results.RunStats`, so a run reports its own.
 
     Args:
         path: coordinate-sorted BAM file.
@@ -342,18 +349,15 @@ class BamSource:
             :func:`repro.io.index.load_index`, with the header's
             reference names attached.  Every flavour produces
             byte-identical calls -- only the seek plans differ.
-        cache_blocks: decompressed BGZF blocks kept resident per
-            worker reader (~64 KiB each; the
-            :data:`DEFAULT_CACHE_BLOCKS` default bounds a reader's
-            buffer at ~2 MiB).
 
     Raises:
         ValueError: if a single reference string is paired with regions
-            on more than one contig, or ``batch_columns`` /
-            ``cache_blocks`` is not positive.
+            on more than one contig, or ``batch_columns`` is not
+            positive.
     """
 
-    #: Default decompressed-block LRU capacity per worker reader.
+    #: Decompressed-block LRU capacity per worker reader (~64 KiB a
+    #: block, so ~2 MiB a reader).
     DEFAULT_CACHE_BLOCKS = 32
 
     def __init__(
@@ -365,19 +369,11 @@ class BamSource:
         *,
         batch_columns: Optional[int] = BATCH_COLUMNS,
         index=None,
-        cache_blocks: Optional[int] = None,
     ) -> None:
         from repro.io.bam import BamReader
 
         self.path = os.fspath(path)
         self.batch_columns = check_batch_columns(batch_columns)
-        if cache_blocks is None:
-            cache_blocks = self.DEFAULT_CACHE_BLOCKS
-        if cache_blocks <= 0:
-            raise ValueError(
-                f"cache_blocks must be positive, got {cache_blocks}"
-            )
-        self.cache_blocks = cache_blocks
         self.pileup_config = pileup_config or PileupConfig()
         with BamReader(self.path) as reader:
             self.contigs: List[Tuple[str, int]] = list(
@@ -411,8 +407,6 @@ class BamSource:
         self._refmap = self._build_refmap(reference)
         self._index_lock = threading.Lock()
         self._local = threading.local()
-        self._all_readers: List[object] = []
-        self._readers_lock = threading.Lock()
 
     def _build_refmap(self, reference: ReferenceLike) -> Dict[str, str]:
         if isinstance(reference, str):
@@ -460,6 +454,9 @@ class BamSource:
         return self._index
 
     def _reader(self):
+        """This worker's reader, and the :data:`IO_COUNTERS` values a
+        stream on it counts from: zeros when the reader is opened here,
+        so the run that opens a reader counts its header-block load."""
         from repro.io.bam import BamReader
 
         # One reader per (process, thread): forked children must not
@@ -469,14 +466,12 @@ class BamSource:
         if reader is None or getattr(self._local, "pid", None) != key:
             # Independent reader per worker, with its own
             # decompressed-block LRU buffer.
-            reader = BamReader(self.path, cache_blocks=self.cache_blocks)
+            reader = BamReader(self.path, cache_blocks=self.DEFAULT_CACHE_BLOCKS)
             self._local.reader = reader
             self._local.pid = key
-            with self._readers_lock:
-                self._all_readers.append(reader)
-        return reader
+            return reader, (0,) * len(IO_COUNTERS)
+        return reader, tuple(getattr(reader._bgzf, n) for n in IO_COUNTERS)
 
-    _NO_READS = object()
     _REWIND = object()
 
     def _chunk_plan(self, chunk: Region):
@@ -568,12 +563,14 @@ class BamSource:
             if where == _KEEP:
                 yield read
 
-    def _timed_pulls(self, reader, inner, trc: Tracer, worker: int):
+    def _timed_pulls(self, reader, counted, inner, trc: Tracer, worker: int, stats):
         """Drive a lazy per-chunk stream (columns or batches) one pull
         at a time, attributing each pull's BGZF inflation to
         ``DECOMPRESS`` and the remaining decode/pileup work to
         ``BAM_ITER`` -- the per-pull twin of the old eager scan's
-        one-block attribution."""
+        one-block attribution.  When the stream ends, the lookups
+        ``reader`` made since its ``counted`` values are added to
+        ``stats``."""
         while True:
             t_dec0 = reader._bgzf.time_decompress
             t0 = time.perf_counter()
@@ -586,32 +583,19 @@ class BamSource:
             trc.record(worker, Category.DECOMPRESS, t0, t0 + dec)
             trc.record(worker, Category.BAM_ITER, t0 + dec, t1)
             if item is None:
+                if stats is not None:
+                    for name, before in zip(IO_COUNTERS, counted):
+                        now = getattr(reader._bgzf, name)
+                        setattr(stats, name, getattr(stats, name) + now - before)
                 return
             yield item
-
-    def io_stats(self) -> Dict[str, float]:
-        """Aggregate I/O counters over every reader this source has
-        created (in this process): the decompressed-block LRU's
-        :data:`~repro.core.results.IO_COUNTERS`, BGZF blocks inflated
-        and inflation seconds.  Readers created inside forked worker
-        processes (process backend) live in the children and are not
-        visible here -- but the process backend's workers fold their
-        own deltas into the stats they return, so pipeline-level
-        :class:`~repro.core.results.RunStats` totals are complete on
-        every backend.
-        """
-        with self._readers_lock:
-            readers = [reader._bgzf for reader in self._all_readers]
-        return {
-            name: sum(getattr(bgzf, name) for bgzf in readers)
-            for name in _READER_COUNTERS
-        }
 
     def columns_for(
         self,
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[PileupColumn]:
         """The chunk's columns as a lazy per-column stream.
 
@@ -624,7 +608,8 @@ class BamSource:
 
         Each pull's time is attributed like :meth:`batches_for`:
         inflation to ``DECOMPRESS``, decode+pileup to ``BAM_ITER``
-        (interleaved with the consumer's own spans).  Like the batch
+        (interleaved with the consumer's own spans), and its block
+        loads are added to ``stats`` when it ends.  Like the batch
         stream, at most **one** live stream per thread: exhaust (or
         abandon) a chunk's stream before starting the next chunk's on
         the same thread, as the pipeline's worker loop does.
@@ -633,14 +618,14 @@ class BamSource:
         plan = self._chunk_plan(chunk)
         if plan is not self._REWIND and not plan:
             return
-        reader = self._reader()
+        reader, counted = self._reader()
         inner = pileup(
             self._iter_records(reader, chunk, plan),
             self._reference_for(chunk.chrom),
             chunk,
             self.pileup_config,
         )
-        yield from self._timed_pulls(reader, inner, trc, worker)
+        yield from self._timed_pulls(reader, counted, inner, trc, worker, stats)
 
     def _stream_batches(self, reader, chunk: Region, plan):
         """The untimed inner generator behind :meth:`batches_for`.
@@ -738,6 +723,7 @@ class BamSource:
         chunk: Region,
         tracer: Optional[Tracer] = None,
         worker: int = 0,
+        stats: Optional[RunStats] = None,
     ) -> Iterable[ColumnBatch]:
         """The chunk as a lazy stream of bounded batch work units.
 
@@ -761,7 +747,8 @@ class BamSource:
         Each pull's time is attributed like the eager scan used to be:
         BGZF inflation to ``DECOMPRESS``, the rest of the
         decode+deposit work to ``BAM_ITER``, now interleaved per batch
-        instead of one block per chunk.
+        instead of one block per chunk.  The stream's block loads are
+        added to ``stats`` when it ends.
 
         The stream reads through this worker's thread-local reader, so
         at most **one** stream per thread may be live at a time:
@@ -774,6 +761,6 @@ class BamSource:
         plan = self._chunk_plan(chunk)
         if plan is not self._REWIND and not plan:
             return
-        reader = self._reader()
+        reader, counted = self._reader()
         inner = self._stream_batches(reader, chunk, plan)
-        yield from self._timed_pulls(reader, inner, trc, worker)
+        yield from self._timed_pulls(reader, counted, inner, trc, worker, stats)

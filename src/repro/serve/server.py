@@ -35,6 +35,7 @@ import json
 import threading
 from typing import Dict, List, Optional
 
+from repro.io.errors import FormatError
 from repro.serve.cache import CachedResult, ResultCache
 from repro.serve.models import (
     CallRequest,
@@ -75,8 +76,6 @@ class CallService:
             hits do not occupy slots).
         result_cache_entries: finished bodies kept resident.
         warm_sources: warm ``BamSource`` instances per worker.
-        cache_blocks: per-reader decompressed-block LRU size for the
-            warm readers (``None`` uses the BamSource default).
         on_full: ``"reject"`` raises
             :class:`~repro.serve.models.ServerOverloadedError` when
             ``max_pending`` is reached; ``"wait"`` queues the
@@ -94,24 +93,19 @@ class CallService:
         max_pending: int = 32,
         result_cache_entries: int = 256,
         warm_sources: int = 4,
-        cache_blocks: Optional[int] = None,
         on_full: str = "reject",
     ) -> None:
         if max_pending <= 0:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
         if on_full not in ("reject", "wait"):
             raise ValueError(f"on_full must be 'reject' or 'wait', got {on_full!r}")
-        if cache_blocks is not None and cache_blocks <= 0:
-            raise ValueError(
-                f"cache_blocks must be positive, got {cache_blocks}"
-            )
         self.default_reference = default_reference
         self.max_pending = max_pending
         self.on_full = on_full
         self._cache = ResultCache(result_cache_entries)
         self._shards = ShardMap(n_workers)
         self._workers: List[ShardWorker] = [
-            ShardWorker(i, warm_sources=warm_sources, cache_blocks=cache_blocks)
+            ShardWorker(i, warm_sources=warm_sources)
             for i in range(n_workers)
         ]
         for worker in self._workers:
@@ -147,10 +141,10 @@ class CallService:
 
     # -- responses ------------------------------------------------------------
 
-    def _serve_stats(self, *, cached: bool, coalesced: bool) -> Dict[str, object]:
-        """The ``"serve"`` sub-dict attached to every response."""
+    def _counters(self) -> Dict[str, int]:
+        """A consistent snapshot of the request-level counters."""
         with self._lock:
-            counters = {
+            return {
                 "requests_total": self._requests_total,
                 "result_cache_hits": self._cache_hits,
                 "coalesced": self._coalesced,
@@ -159,11 +153,14 @@ class CallService:
                 "errors": self._errors,
                 "in_flight": len(self._inflight),
             }
+
+    def _serve_stats(self, *, cached: bool, coalesced: bool) -> Dict[str, object]:
+        """The ``"serve"`` sub-dict attached to every response."""
         return {
             "result_cache_hit": bool(cached),
             "request_coalesced": bool(coalesced),
             "result_cache": self._cache.to_dict(),
-            **counters,
+            **self._counters(),
         }
 
     def _response(
@@ -218,6 +215,7 @@ class CallService:
             ServerClosedError: the service is shutting down.
             RequestError: the computation itself failed (e.g. a region
                 contig missing from the BAM header).
+            FormatError: the BAM or the reference FASTA does not parse.
         """
         loop = asyncio.get_running_loop()
         request = request.validated()
@@ -295,19 +293,9 @@ class CallService:
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe service-wide counters (the ``stats`` endpoint)."""
-        with self._lock:
-            counters = {
-                "requests_total": self._requests_total,
-                "result_cache_hits": self._cache_hits,
-                "coalesced": self._coalesced,
-                "rejected": self._rejected,
-                "computed": self._computed,
-                "errors": self._errors,
-                "in_flight": len(self._inflight),
-                "closed": self._closed,
-            }
         return {
-            **counters,
+            **self._counters(),
+            "closed": self.closed,
             "max_pending": self.max_pending,
             "n_workers": len(self._workers),
             "result_cache": self._cache.to_dict(),
@@ -333,7 +321,9 @@ async def _handle_connection(
 ) -> None:
     """One client connection: JSON request per line, JSON response per
     line.  ``{"op": "stats"}`` returns the service counters;
-    request-level failures produce ``{"status": "error", ...}`` and
+    request-level failures (a :class:`~repro.serve.models.RequestError`,
+    or a :class:`~repro.io.errors.FormatError` from an input that does
+    not parse) produce ``{"status": "error", "kind": ..., ...}`` and
     keep the connection open."""
     try:
         while True:
@@ -359,7 +349,7 @@ async def _handle_connection(
                         )
                         result = await service.submit(request)
                         response = result.to_dict()
-                    except RequestError as exc:
+                    except (RequestError, FormatError) as exc:
                         response = {
                             "status": "error",
                             "kind": type(exc).__name__,

@@ -8,8 +8,8 @@ worker.  That worker keeps the expensive per-process state *warm*
 across requests:
 
 * a small LRU of :class:`~repro.pipeline.sources.BamSource` instances
-  keyed by ``(bam fingerprint, reference fingerprint, pileup config,
-  cache blocks)`` -- each holds its resolved
+  keyed by ``(bam fingerprint, reference fingerprint, pileup config)``
+  -- each holds its resolved
   :class:`~repro.io.index.RandomAccessIndex`, its thread-local
   :class:`~repro.io.bam.BamReader` and that reader's decompressed-
   block LRU, so a warm request pays neither index build nor reader
@@ -19,9 +19,9 @@ across requests:
 Because warm-source keys embed file *fingerprints* (path+size+mtime),
 a BAM or FASTA rewritten in place gets a fresh source; the stale one
 ages out of the LRU.  :class:`RegionView` adapts a warm source to one
-request's regions and reports per-request I/O counter *deltas*, so
-every response's stats describe that request alone even though the
-readers live for the whole process.
+request's regions; the source's chunk streams count their own block
+lookups, so every response's counters describe that request alone
+even though the readers live for the whole process.
 """
 
 from __future__ import annotations
@@ -101,40 +101,27 @@ class RegionView:
     """A warm :class:`~repro.pipeline.sources.BamSource`, scoped to one
     request.
 
-    Delegates column/batch production to the shared warm source but:
-
-    * reports the *request's* regions (so the Bonferroni scope and the
-      pipeline's work units follow the request, not the whole file);
-    * reports I/O counters as deltas against a baseline captured at
-      construction (so per-request stats are not cumulative over the
-      warm reader's lifetime).
+    Delegates column/batch production (and its I/O counting) to the
+    shared warm source, but reports the *request's* regions, so the
+    Bonferroni scope and the pipeline's work units follow the request,
+    not the whole file.
     """
 
     def __init__(self, source, regions: Sequence[Region]) -> None:
         self._source = source
         self._regions = list(regions)
-        self._baseline = source.io_stats()
 
     def regions(self) -> Sequence[Region]:
         """The request's regions."""
         return list(self._regions)
 
-    def prepare(self) -> None:
-        """Delegate index warm-up to the underlying source."""
-        self._source.prepare()
-
-    def columns_for(self, chunk, tracer=None, worker: int = 0):
+    def columns_for(self, chunk, tracer=None, worker: int = 0, stats=None):
         """Delegate the per-column stream to the warm source."""
-        return self._source.columns_for(chunk, tracer, worker)
+        return self._source.columns_for(chunk, tracer, worker, stats)
 
-    def batches_for(self, chunk, tracer=None, worker: int = 0):
+    def batches_for(self, chunk, tracer=None, worker: int = 0, stats=None):
         """Delegate the batch stream to the warm source."""
-        return self._source.batches_for(chunk, tracer, worker)
-
-    def io_stats(self) -> Dict[str, float]:
-        """This request's I/O counters: current minus baseline."""
-        now = self._source.io_stats()
-        return {k: now[k] - self._baseline.get(k, 0) for k in now}
+        return self._source.batches_for(chunk, tracer, worker, stats)
 
 
 class ShardWorker(threading.Thread):
@@ -144,8 +131,6 @@ class ShardWorker(threading.Thread):
     Args:
         shard_id: this worker's index in the shard map.
         warm_sources: BamSource instances kept warm (LRU beyond it).
-        cache_blocks: per-reader decompressed-block LRU size handed to
-            every warm source (``None`` uses the source default).
 
     The thread drains :attr:`queue` until it sees the ``None``
     sentinel; every :class:`WorkItem` is answered through its
@@ -159,7 +144,6 @@ class ShardWorker(threading.Thread):
         shard_id: int,
         *,
         warm_sources: int = 4,
-        cache_blocks: Optional[int] = None,
     ) -> None:
         super().__init__(name=f"serve-shard-{shard_id}", daemon=True)
         if warm_sources <= 0:
@@ -168,7 +152,6 @@ class ShardWorker(threading.Thread):
             )
         self.shard_id = shard_id
         self.queue: "queue.Queue[Optional[WorkItem]]" = queue.Queue()
-        self.cache_blocks = cache_blocks
         self._sources: LruCache[tuple, object] = LruCache(warm_sources)
         self._references: LruCache[FileFingerprint, dict] = LruCache(
             max(2, warm_sources)
@@ -177,8 +160,6 @@ class ShardWorker(threading.Thread):
         self.executed = 0
         #: requests answered with an error
         self.errors = 0
-        #: True when the most recent request reused a warm source
-        self.last_warm_source = False
 
     # -- warm state ----------------------------------------------------------
 
@@ -197,20 +178,15 @@ class ShardWorker(threading.Thread):
         """The warm :class:`BamSource` for this request's (bam,
         reference, pileup config), creating and caching it on miss."""
         ref_fp = FileFingerprint.of(request.reference)
-        key = (bam, ref_fp, request.pileup, self.cache_blocks)
+        key = (bam, ref_fp, request.pileup)
         source = self._sources.get(key)
-        self.last_warm_source = source is not None
         if source is None:
             from repro.pipeline.sources import BamSource
 
-            kwargs = {}
-            if self.cache_blocks is not None:
-                kwargs["cache_blocks"] = self.cache_blocks
             source = BamSource(
                 bam.path,
                 self._reference_for(ref_fp),
                 pileup_config=request.pileup,
-                **kwargs,
             )
             self._sources.put(key, source)
         return source
@@ -232,20 +208,27 @@ class ShardWorker(threading.Thread):
         self, request: CallRequest, source
     ) -> Tuple[List[Region], List[Tuple[str, int]]]:
         """The request's regions and the VCF-header contig list: a
-        whole-file request covers every header contig; a named region
-        goes through :func:`repro.io.regions.resolve_region`, the rules
-        ``call --region`` applies.
+        whole-file request covers every header contig, all of which
+        the reference must name; a named region goes through
+        :func:`repro.io.regions.resolve_region`, the rules ``call
+        --region`` applies.
 
         Raises:
             ValidationError: if the region does not resolve (a contig
                 absent from the BAM header or the reference, a start
-                past the contig's end, malformed text).
+                past the contig's end, malformed text), or the
+                reference lacks a contig of a whole-file request.
         """
-        if request.region is None:
-            return list(source.regions()), list(source.contigs)
         references = self._reference_for(
             FileFingerprint.of(request.reference)
         )
+        if request.region is None:
+            missing = [n for n, _ in source.contigs if n not in references]
+            if missing:
+                raise ValidationError(
+                    f"BAM references {missing!r} not in {request.reference}"
+                )
+            return list(source.regions()), list(source.contigs)
         try:
             region = resolve_region(
                 request.region, source.contigs, references, request.reference

@@ -367,6 +367,38 @@ class TestFormatErrors:
             assert str(info.value).startswith(prefix)
 
 
+class TestEofMarker:
+    """A stream must end with an empty block (the EOF marker): one cut
+    where a block ends reads back short otherwise, with no error."""
+
+    def test_cut_at_a_block_boundary_raises(self, tmp_path):
+        payload = _random.Random(7).randbytes(100_000)
+        raw = _bgzf_bytes(payload)
+        cut = block_offsets(io.BytesIO(raw))[1]
+        path = tmp_path / "cut.bgz"
+        path.write_bytes(raw[:cut])
+        where = f"BGZF block at compressed offset {cut}: "
+        cases = [(io.BytesIO(raw[:cut]), where), (str(path), f"{path}: {where}")]
+        for source, prefix in cases:
+            with BgzfReader(source) as reader:
+                with pytest.raises(FormatError, match="no BGZF EOF marker") as info:
+                    reader.read()
+            assert str(info.value).startswith(prefix)
+
+    def test_empty_block_mid_stream_still_reads(self):
+        payload = _random.Random(8).randbytes(100_000)
+        raw = _bgzf_bytes(payload)
+        mid = block_offsets(io.BytesIO(raw))[1]
+        spliced = raw[:mid] + BGZF_EOF + raw[mid:]
+        with BgzfReader(io.BytesIO(spliced)) as reader:
+            assert reader.read() == payload
+
+    def test_marker_only_and_empty_streams_read_empty(self):
+        for raw in (BGZF_EOF, b""):
+            with BgzfReader(io.BytesIO(raw)) as reader:
+                assert reader.read() == b""
+
+
 class TestParallelWriterFuzz:
     """Hypothesis: the pooled writer's bytes are bit-identical."""
 

@@ -715,6 +715,61 @@ class TestIndexSubcommand:
         assert f"{bad}: BGZF block at compressed offset {start}: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index"],
+            ["call", "--engine", "batched"],
+            ["call", "--engine", "streaming"],
+            ["call", "--workers", "2", "--backend", "process"],
+        ],
+    )
+    def test_bam_cut_at_a_block_boundary_errors(
+        self, workspace, tmp_path, capsys, argv
+    ):
+        """A BAM cut where a BGZF block boundary meets a record boundary
+        lacks the EOF marker block: one ``error:`` line and exit 2 from
+        ``index`` and from ``call`` on either engine and with forked
+        workers, instead of silently calling the surviving reads."""
+        import io
+        import struct
+
+        from repro.io.bgzf import BgzfReader, BgzfWriter
+
+        with BgzfReader(str(workspace / "sample.bam")) as reader:
+            data = reader.read()
+        # Skip the header, then keep the first 1,000 records.
+        (l_text,) = struct.unpack_from("<i", data, 4)
+        end = 8 + l_text
+        (n_ref,) = struct.unpack_from("<i", data, end)
+        end += 4
+        for _ in range(n_ref):
+            (l_name,) = struct.unpack_from("<i", data, end)
+            end += 8 + l_name
+        for _ in range(1000):
+            (block_size,) = struct.unpack_from("<i", data, end)
+            end += 4 + block_size
+        assert end < len(data)
+        buf = io.BytesIO()
+        writer = BgzfWriter(buf)
+        writer.write(data[:end])
+        writer.flush()  # the last block ends on a record; no EOF marker
+        cut = tmp_path / "cut.bam"
+        cut.write_bytes(buf.getvalue())
+        out = tmp_path / "out.vcf"
+        extra = argv[1:]
+        if argv[0] == "call":
+            extra += ["--reference", str(workspace / "ref.fa"),
+                      "--out", str(out), "--all-contigs"]
+        capsys.readouterr()
+        rc = main([argv[0], str(cut), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{cut}: BGZF block at compressed offset {len(buf.getvalue())}" in err
+        assert "no BGZF EOF marker" in err
+        assert not out.exists()
+
     def test_bai_loads_back(self, workspace):
         from repro.io.bai import BaiIndex
 
@@ -727,6 +782,36 @@ class TestIndexSubcommand:
         rc = main(["index", str(tmp_path / "absent.bam")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestReferenceErrors:
+    """A ``--reference`` that cannot be read as FASTA is one ``error:``
+    line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file"),
+            ("ACGT\n>chr\nACGT\n", "line 1: FASTA data before first '>'"),
+            (">a\nAC\n>b\nGT\n>a\nTT\n", "line 5: duplicate FASTA record 'a'"),
+        ],
+        ids=["missing", "data-before-defline", "duplicate-name"],
+    )
+    def test_bad_reference_errors(self, workspace, tmp_path, capsys, text, message):
+        ref = tmp_path / "bad.fa"
+        if text is not None:
+            ref.write_text(text)
+        out = tmp_path / "out.vcf"
+        capsys.readouterr()
+        rc = main(
+            ["call", str(workspace / "sample.bam"), "--reference", str(ref),
+             "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err and str(ref) in err
+        assert not out.exists()
 
 
 class TestCallIndexAndCache:
@@ -801,28 +886,6 @@ class TestCallIndexAndCache:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "negative bin count" in err
-
-    def test_cache_blocks_threads_through(self, workspace):
-        out = workspace / "calls_cached.vcf"
-        rc = main(
-            ["call", str(workspace / "sample.bam"),
-             "--reference", str(workspace / "ref.fa"),
-             "--out", str(out),
-             "--cache-blocks", "8"]
-        )
-        assert rc == 0
-        base = (workspace / "calls2.vcf").read_bytes()
-        assert out.read_bytes() == base
-
-    def test_invalid_cache_blocks_errors(self, workspace, tmp_path, capsys):
-        rc = main(
-            ["call", str(workspace / "sample.bam"),
-             "--reference", str(workspace / "ref.fa"),
-             "--out", str(tmp_path / "x.vcf"),
-             "--cache-blocks", "0"]
-        )
-        assert rc == 2
-        assert "cache_blocks" in capsys.readouterr().err
 
     def test_stats_json_has_cache_counters(self, workspace, tmp_path):
         import json

@@ -671,6 +671,37 @@ class TestIoStatsBackends:
         # output.
         assert [c.key for c in process.calls] == [c.key for c in serial.calls]
 
+    def test_each_run_counts_only_its_own_lookups(self, bam_workspace, genome):
+        """Two runs on one source: each run's counters cover the block
+        lookups its own chunk streams made, not the earlier run's, on
+        every backend."""
+        from repro.io.bgzf import block_offsets
+
+        _, bam = bam_workspace
+        blocks = len(block_offsets(str(bam))) + 1  # and the EOF marker
+        assert blocks <= BamSource.DEFAULT_CACHE_BLOCKS
+
+        def two_runs(policy):
+            source = BamSource(bam, genome.sequence)
+            return [
+                (s.cache_hits, s.cache_misses)
+                for s in (Pipeline(source, policy=policy).run().stats for _ in range(2))
+            ]
+
+        # Run 1 opens the reader, so it also counts the header-block
+        # load: every block inflates once.  Run 2 finds them all cached.
+        assert two_runs(ExecutionPolicy()) == [(0, blocks), (blocks, 0)]
+        for mode in ("thread", "process"):
+            first, second = two_runs(
+                ExecutionPolicy(
+                    mode=mode, n_workers=2, chunk_columns=200, schedule="static"
+                )
+            )
+            # Fresh threads and forked children open fresh readers, and
+            # the static schedule hands each the same chunks again.
+            assert sum(first) > 0
+            assert second == first, mode
+
 
 class TestStreamingColumnsFor:
     """ISSUE 7 satellite: BamSource.columns_for streams the pileup()

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.core.config import CallerConfig
-from repro.io.fasta import write_fasta
+from repro.io.fasta import FastaRecord, write_fasta
 from repro.pileup.engine import PileupConfig
 from repro.pipeline import BamSource, JsonlSink, Pipeline, VcfSink
 from repro.serve import (
@@ -463,6 +463,111 @@ class TestTcpFrontEnd:
         assert bad["status"] == "error" and bad["kind"] == "ValidationError"
         assert stats["status"] == "ok"
         assert stats["stats"]["computed"] == 1
+
+
+def _tcp_session(service, payloads):
+    """Send each payload on one TCP connection to ``service``; the
+    decoded response lines, in order."""
+
+    async def scenario():
+        server = await serve_tcp(service, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        responses = []
+        for payload in payloads:
+            writer.write(json.dumps(payload).encode() + b"\n")
+            await writer.drain()
+            responses.append(json.loads(await reader.readline()))
+        writer.close()
+        server.close()
+        await server.wait_closed()
+        return responses
+
+    try:
+        return asyncio.run(scenario())
+    finally:
+        service.close()
+
+
+class TestRequestErrorLines:
+    """Every per-request failure is one typed error line over TCP, and
+    the connection goes on to answer the next request."""
+
+    def test_reference_missing_a_bam_contig(self, dataset, tmp_path):
+        other = tmp_path / "other.fa"
+        write_fasta(str(other), [FastaRecord("other", "", dataset["genome"].sequence)])
+        service = CallService(default_reference=dataset["ref"], n_workers=1)
+        bad, stats = _tcp_session(
+            service,
+            [{"bam": dataset["bam"], "reference": str(other)}, {"op": "stats"}],
+        )
+        assert bad["status"] == "error" and bad["kind"] == "ValidationError"
+        assert f"BAM references ['{dataset['genome'].name}'] not in {other}" in bad["error"]
+        assert stats["status"] == "ok"
+
+    def test_corrupt_first_bgzf_block(self, dataset, tmp_path):
+        raw = bytearray(open(dataset["bam"], "rb").read())
+        raw[18] = 0x07  # BFINAL=1, BTYPE=11 (reserved) in block 0
+        bam = tmp_path / "corrupt.bam"
+        bam.write_bytes(bytes(raw))
+        service = CallService(default_reference=dataset["ref"], n_workers=1)
+        bad, stats = _tcp_session(service, [{"bam": str(bam)}, {"op": "stats"}])
+        assert bad["status"] == "error" and bad["kind"] == "FormatError"
+        assert "BGZF block at compressed offset 0" in bad["error"]
+        assert stats["status"] == "ok"
+        assert stats["stats"]["errors"] == 1
+
+    def test_reference_that_is_not_fasta(self, dataset, tmp_path):
+        ref = tmp_path / "bad.fa"
+        ref.write_text("ACGT\n>chr\nACGT\n")
+        service = CallService(n_workers=1)
+        bad, stats = _tcp_session(
+            service, [{"bam": dataset["bam"], "reference": str(ref)}, {"op": "stats"}]
+        )
+        assert bad["status"] == "error" and bad["kind"] == "FormatError"
+        assert f"{ref}: line 1: FASTA data before first '>'" in bad["error"]
+        assert stats["status"] == "ok"
+
+
+class TestPerRequestIoCounters:
+    def test_each_response_counts_its_own_lookups(self, dataset, monkeypatch):
+        """On a warm service, a computed response's block-cache counters
+        are the lookups made while computing it, whichever request the
+        worker served before.  That count itself can depend on the
+        previous request: a region whose first seek lands in the block
+        the reader rests on looks up one block fewer."""
+        from repro.io.bgzf import BgzfReader
+
+        made = []
+        lookup = BgzfReader._cached_block_at
+
+        def counted(self, offset):
+            before = self.cache_hits + self.cache_misses
+            out = lookup(self, offset)
+            made.append(self.cache_hits + self.cache_misses - before)
+            return out
+
+        monkeypatch.setattr(BgzfReader, "_cached_block_at", counted)
+        name = dataset["genome"].name
+        target = f"{name}:201-300"
+        regions = [None, target, f"{name}:401-500", target, f"{name}:1-80", target]
+        per_request = []
+        with ServeClient(default_reference=dataset["ref"], n_workers=1) as client:
+            # Open the warm source, its reader and its seek index (whose
+            # build reads through a reader of its own).
+            client.call(dataset["bam"], region=f"{name}:101-110")
+            for i, region in enumerate(regions):
+                made.clear()
+                response = client.call(
+                    dataset["bam"],
+                    region=region,
+                    config=CallerConfig.improved(alpha=0.05 - 0.001 * i),
+                )
+                assert not response.cached
+                stats = response.stats
+                per_request.append((stats["cache_hits"] + stats["cache_misses"], sum(made)))
+        assert all(reported == seen for reported, seen in per_request), per_request
+        assert all(reported > 0 for reported, _ in per_request), per_request
 
 
 class TestRegionResolution:
