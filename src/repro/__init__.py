@@ -6,7 +6,7 @@ frequency variant calling on ultra deep sequencing datasets"*
 SNV caller accelerated by a Poisson-approximation first-pass filter,
 an OpenMP-style shared-memory parallel runtime that fixes the legacy
 double-filtering bug, and every substrate the pipeline needs (BAM /
-BGZF / SAM / VCF codecs, a pileup engine, a calibrated read simulator,
+BGZF / VCF codecs, a pileup engine, a calibrated read simulator,
 Poisson-binomial statistics, a cache simulator and trace profiling).
 
 Quickstart::

@@ -22,8 +22,11 @@ Subcommands mirror the original tool-chain:
   ``(bam, region, config)``, with request coalescing, warm-reader
   shard workers, a result cache keyed by file fingerprint, and
   graceful drain on SIGINT/SIGTERM.
-* ``compare`` -- concordance report between two VCFs.
+* ``compare`` -- concordance report between two VCFs (exit 1 when
+  the call sets differ).
 * ``upset`` -- ASCII upset plot across any number of VCFs (Figure 3).
+  Both exit 2 with one ``error:`` line on a VCF that is missing or
+  does not parse.
 
 Run ``repro-lofreq <subcommand> --help`` for options, or invoke as
 ``python -m repro.cli``.
@@ -494,40 +497,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_server(service, args.host, args.port)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis import compare_call_sets
+def _call_sets(paths: Sequence[str]):
+    """The ``(chrom, pos, ref, alt)`` keys of each VCF's PASS and ``.``
+    records, or the error message for a VCF that is missing or does
+    not parse."""
+    from repro.io import FormatError
     from repro.io.vcf import read_vcf
 
-    def keys(path: str):
-        _, records = read_vcf(path)
-        return {
-            (r.chrom, r.pos, r.ref, r.alt)
-            for r in records
-            if r.filter in ("PASS", ".")
-        }
+    try:
+        return [
+            {r.key for r in read_vcf(path)[1] if r.filter in ("PASS", ".")}
+            for path in paths
+        ]
+    except (FormatError, OSError) as exc:
+        return str(exc)
 
-    report = compare_call_sets(keys(args.vcf_a), keys(args.vcf_b))
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis import compare_call_sets
+
+    sets = _call_sets([args.vcf_a, args.vcf_b])
+    if isinstance(sets, str):
+        print(f"error: {sets}", file=sys.stderr)
+        return 2
+    report = compare_call_sets(*sets)
     print(report.summary(args.vcf_a, args.vcf_b))
     return 0 if report.identical else 1
 
 
 def _cmd_upset(args: argparse.Namespace) -> int:
     from repro.analysis import compute_upset, render_upset
-    from repro.io.vcf import read_vcf
 
     labels = args.labels or args.vcfs
     if len(labels) != len(args.vcfs):
         print("error: --labels count must match VCF count", file=sys.stderr)
         return 2
-    sets = {}
-    for label, path in zip(labels, args.vcfs):
-        _, records = read_vcf(path)
-        sets[label] = {
-            (r.chrom, r.pos, r.ref, r.alt)
-            for r in records
-            if r.filter in ("PASS", ".")
-        }
-    print(render_upset(compute_upset(sets)))
+    sets = _call_sets(args.vcfs)
+    if isinstance(sets, str):
+        print(f"error: {sets}", file=sys.stderr)
+        return 2
+    print(render_upset(compute_upset(dict(zip(labels, sets)))))
     return 0
 
 

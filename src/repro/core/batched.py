@@ -566,18 +566,10 @@ def evaluate_batch(
     if batch.n_columns > BATCH_COLUMNS:
         # Bound the screen's per-column histograms (256 bins each) to
         # a constant number of columns.
-        calls: List[VariantCall] = []
-        for lo in range(0, batch.n_columns, BATCH_COLUMNS):
-            calls.extend(
-                evaluate_batch(
-                    batch.slice_columns(
-                        lo, min(lo + BATCH_COLUMNS, batch.n_columns)
-                    ),
-                    corrected_alpha,
-                    config,
-                    stats,
-                )
-            )
-        return calls
+        return [
+            call
+            for part in batch.split(BATCH_COLUMNS)
+            for call in evaluate_batch(part, corrected_alpha, config, stats)
+        ]
     survivors = screen_batch(batch, corrected_alpha, config, stats)
     return exact_batch(batch, survivors, corrected_alpha, config, stats)

@@ -2,10 +2,9 @@
 
 This subpackage provides the substrate LoFreq gets from htslib:
 
-* :mod:`repro.io.fasta` / :mod:`repro.io.fastq` -- reference and read I/O.
+* :mod:`repro.io.fasta` -- reference I/O.
 * :mod:`repro.io.cigar` -- CIGAR string algebra.
 * :mod:`repro.io.records` -- the in-memory alignment record model.
-* :mod:`repro.io.sam` -- the SAM text format.
 * :mod:`repro.io.bgzf` -- blocked-gzip (BGZF) compression with virtual
   offsets, the container format underneath BAM.
 * :mod:`repro.io.bam` -- the binary BAM format (records round-trip
@@ -34,10 +33,8 @@ from repro.io.cigar import (
     reference_length,
 )
 from repro.io.fasta import FastaRecord, read_fasta, write_fasta
-from repro.io.fastq import FastqRecord, read_fastq, write_fastq
 from repro.io.records import FLAG_REVERSE, FLAG_UNMAPPED, AlignedRead, SamHeader
 from repro.io.regions import Region, parse_region
-from repro.io.sam import read_sam, write_sam
 from repro.io.bai import BaiIndex, build_bai, reg2bins
 from repro.io.bam import read_bam, write_bam
 from repro.io.bgzf import BgzfReader, BgzfWriter
@@ -63,7 +60,6 @@ __all__ = [
     "FLAG_UNMAPPED",
     "FastaRecord",
     "FormatError",
-    "FastqRecord",
     "LinearIndex",
     "MultiContigIndex",
     "RandomAccessIndex",
@@ -81,13 +77,9 @@ __all__ = [
     "read_bam",
     "reg2bins",
     "read_fasta",
-    "read_fastq",
-    "read_sam",
     "read_vcf",
     "reference_length",
     "write_bam",
     "write_fasta",
-    "write_fastq",
-    "write_sam",
     "write_vcf",
 ]

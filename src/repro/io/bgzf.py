@@ -512,16 +512,28 @@ class BgzfReader:
         return make_virtual_offset(self._block_start, self._within)
 
     def seek(self, voffset: int) -> int:
-        """Seek to a virtual offset; returns the (normalised) offset."""
+        """Seek to a virtual offset; returns the (normalised) offset.
+
+        Raises:
+            FormatError: if the offset's block starts at or past the end
+                of the file, or its within-block part exceeds the
+                block's size; the message names the virtual offset, and
+                the file when one was opened by path.
+        """
         block_start, within = split_virtual_offset(voffset)
         if block_start != self._block_start or within > len(self._block_data):
             self._eof = False
             self._load_block(block_start)
-        if within > len(self._block_data):
-            raise ValueError(
-                f"within-block offset {within} exceeds block size "
-                f"{len(self._block_data)}"
-            )
+            if self._next_block == block_start:
+                raise self._format_error(
+                    block_start, f"virtual offset {voffset} lies past the end of the file"
+                )
+            if within > len(self._block_data):
+                raise self._format_error(
+                    block_start,
+                    f"virtual offset {voffset}: within-block offset {within} "
+                    f"exceeds block size {len(self._block_data)}",
+                )
         self._within = within
         return self.tell()
 

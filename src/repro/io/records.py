@@ -1,7 +1,7 @@
 """In-memory alignment record and header models.
 
 :class:`AlignedRead` is the single record type flowing through the whole
-pipeline: the simulator produces them, SAM/BAM codecs (de)serialise
+pipeline: the simulator produces them, the BAM codec (de)serialises
 them, and the pileup engine consumes them.  Base qualities are stored as
 a ``numpy.uint8`` array of Phred scores (*not* ASCII), which is the
 representation the statistics layer wants.

@@ -11,9 +11,12 @@ concordance) consumes.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+
+from repro.io.errors import FormatError
 
 __all__ = ["VcfRecord", "VcfWriter", "read_vcf", "write_vcf", "VCF_VERSION"]
 
@@ -101,12 +104,22 @@ class VcfRecord:
         """Parse one data line.
 
         Raises:
-            ValueError: if the line has fewer than 8 columns.
+            FormatError: if the line has fewer than 8 columns, a POS
+                that is not an integer, or a QUAL that is neither ``.``
+                nor a number.
         """
         fields = line.rstrip("\n").split("\t")
         if len(fields) < 8:
-            raise ValueError(f"VCF line has {len(fields)} columns, expected >= 8")
+            raise FormatError(f"VCF line has {len(fields)} columns, expected >= 8")
         chrom, pos_s, id_, ref, alt, qual_s, filt, info_s = fields[:8]
+        try:
+            pos = int(pos_s) - 1
+        except ValueError:
+            raise FormatError(f"POS {pos_s!r} is not an integer") from None
+        try:
+            qual = float("nan") if qual_s == "." else float(qual_s)
+        except ValueError:
+            raise FormatError(f"QUAL {qual_s!r} is neither '.' nor a number") from None
         info: Dict[str, object] = {}
         if info_s != ".":
             for item in info_s.split(";"):
@@ -120,11 +133,11 @@ class VcfRecord:
                     info[item] = True
         return cls(
             chrom=chrom,
-            pos=int(pos_s) - 1,
+            pos=pos,
             id=id_,
             ref=ref,
             alt=alt,
-            qual=float("nan") if qual_s == "." else float(qual_s),
+            qual=qual,
             filter=filt,
             info=info,
         )
@@ -139,12 +152,6 @@ def _parse_scalar(text: str) -> object:
         return float(text)
     except ValueError:
         return text
-
-
-def _open_text(source: PathOrFile, mode: str) -> tuple[TextIO, bool]:
-    if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False  # type: ignore[return-value]
-    return open(source, mode), True
 
 
 class VcfWriter:
@@ -164,7 +171,8 @@ class VcfWriter:
         source: str = "repro-lofreq",
         extra_headers: Optional[Sequence[str]] = None,
     ) -> None:
-        self._handle, self._owned = _open_text(dest, "w")
+        self._owned = not hasattr(dest, "write")
+        self._handle: TextIO = open(dest, "w") if self._owned else dest  # type: ignore[assignment]
         self.records_written = 0
         handle = self._handle
         handle.write(f"##fileformat={VCF_VERSION}\n")
@@ -217,29 +225,37 @@ def write_vcf(
 
 
 def read_vcf(source: PathOrFile) -> Tuple[List[str], List[VcfRecord]]:
-    """Read a VCF file; returns ``(header_lines, records)``."""
-    handle, owned = _open_text(source, "r")
+    """Read a VCF file (a path, or a text or binary handle); returns
+    ``(header_lines, records)``.
+
+    Raises:
+        FormatError: if a data line does not parse
+            (:meth:`VcfRecord.from_line`) or the bytes are not UTF-8;
+            the message names the line number, and the file when one
+            was opened by path.
+        OSError: if the path cannot be read.
+    """
+    where = ""
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        where = f"{os.fspath(source)}: "
+        with open(source, "rb") as handle:
+            data = handle.read()
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise FormatError(f"{where}line {line}: not UTF-8 text") from None
     headers: List[str] = []
     records: List[VcfRecord] = []
-    try:
-        for line in handle:
-            if line.startswith("#"):
-                headers.append(line.rstrip("\n"))
-            elif line.strip():
+    for number, line in enumerate(io.StringIO(data, newline=None), 1):
+        if line.startswith("#"):
+            headers.append(line.rstrip("\n"))
+        elif line.strip():
+            try:
                 records.append(VcfRecord.from_line(line))
-    finally:
-        if owned:
-            handle.close()
+            except FormatError as exc:
+                raise FormatError(f"{where}line {number}: {exc}") from None
     return headers, records
-
-
-def iter_vcf(source: PathOrFile) -> Iterator[VcfRecord]:
-    """Stream records from a VCF file, skipping headers."""
-    handle, owned = _open_text(source, "r")
-    try:
-        for line in handle:
-            if not line.startswith("#") and line.strip():
-                yield VcfRecord.from_line(line)
-    finally:
-        if owned:
-            handle.close()

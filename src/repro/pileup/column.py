@@ -46,17 +46,15 @@ __all__ = [
 BATCH_COLUMNS = 1024
 
 
-def check_batch_columns(batch_columns: Optional[int]) -> Optional[int]:
+def check_batch_columns(batch_columns: int) -> int:
     """The ``batch_columns`` contract of every batch producer: a
-    positive column cap, or ``None`` for one batch per chunk.
+    positive column cap.
 
     Raises:
-        ValueError: if ``batch_columns`` is not positive.
+        ValueError: if ``batch_columns`` is not a positive int.
     """
-    if batch_columns is not None and batch_columns <= 0:
-        raise ValueError(
-            f"batch_columns must be positive, got {batch_columns}"
-        )
+    if batch_columns is None or batch_columns <= 0:
+        raise ValueError(f"batch_columns must be a positive int, got {batch_columns}")
     return batch_columns
 
 
@@ -404,14 +402,14 @@ class ColumnBatch:
             **plane_kwargs,
         )
 
-    def split(self, cap: Optional[int]) -> List["ColumnBatch"]:
+    def split(self, cap: int) -> List["ColumnBatch"]:
         """This batch as work units of at most ``cap`` columns
         (:meth:`slice_columns` pieces, planes still lazy): none when
-        empty, the batch itself when it fits or ``cap`` is ``None``."""
+        empty, the batch itself when it fits."""
         n = self.n_columns
         if n == 0:
             return []
-        if cap is None or n <= cap:
+        if n <= cap:
             return [self]
         return [
             self.slice_columns(lo, min(lo + cap, n)) for lo in range(0, n, cap)

@@ -26,15 +26,16 @@ Three producers feed them:
   span at a time by :class:`repro.io.bam.RecordSpan` with no
   :class:`~repro.io.records.AlignedRead` built: a window whose reads
   are all ungapped and of one length takes the counting deposit, any
-  other the stable-sort deposit (the batched engine's BAM path,
-  :meth:`repro.pipeline.BamSource.batches_for`);
-* :class:`ColumnBatchBuilder` / :func:`pileup_batch_from_reads` --
-  :class:`~repro.io.records.AlignedRead` streams (SAM, in-memory
-  reads), each read encoded as a BAM record and each window of them
-  deposited through :func:`pileup_batch_from_records`.
-
-Every producer windows at :data:`~repro.pileup.column.BATCH_COLUMNS`
-columns unless told otherwise.
+  other the stable-sort deposit;
+* :class:`ColumnBatchBuilder` -- the one owner of the window rule,
+  which cuts a coordinate-sorted stream into windows of
+  :data:`~repro.pileup.column.BATCH_COLUMNS` columns unless told
+  otherwise and deposits each through
+  :func:`pileup_batch_from_records`: raw BAM records from
+  :meth:`repro.pipeline.BamSource.batches_for` (the batched engine's
+  BAM path), or :class:`~repro.io.records.AlignedRead` values
+  encoded as records (:func:`iter_pileup_batches`,
+  :func:`pileup_batch_from_reads`).
 
 Both kernels defer the strand/mapq planes (the screen reads only codes
 and qualities).  The test suite checks every path produces columns
@@ -59,7 +60,7 @@ import numpy as np
 
 from repro.io.bam import SEQ_NIBBLES, RecordSpan, encode_record
 from repro.io.errors import FormatError
-from repro.io.records import FLAG_REVERSE, AlignedRead, SamHeader
+from repro.io.records import FLAG_REVERSE, FLAG_UNMAPPED, AlignedRead, SamHeader
 from repro.io.regions import Region
 from repro.pileup.column import (
     BATCH_COLUMNS,
@@ -85,6 +86,11 @@ __all__ = [
 _NIBBLE_CODES = SEQ_CODE_LUT[
     np.frombuffer(SEQ_NIBBLES.encode("ascii"), dtype=np.uint8)
 ]
+
+#: Records :meth:`ColumnBatchBuilder.add_record` takes between decode
+#: checks while no kept read is pending (a scan crossing other
+#: contigs), bounding what they hold.
+_CHECK_RECORDS = 4096
 
 
 def _ref_bases_at(reference: str, positions: np.ndarray) -> str:
@@ -496,34 +502,44 @@ def pileup_batch_from_records(
 
 
 class ColumnBatchBuilder:
-    """Incremental, bounded-memory columnar pileup construction from
-    :class:`~repro.io.records.AlignedRead` values (SAM or in-memory
-    reads; a BAM file skips the per-read objects and goes straight to
-    :func:`pileup_batch_from_records`, with the same windows).
+    """Incremental, bounded-memory columnar pileup construction, and
+    the one owner of the window rule.
 
-    Reads arrive one at a time in coordinate order; each kept read is
-    encoded as a BAM record body (:func:`repro.io.bam.encode_record`)
-    and held until its window closes.  Because every later read starts
-    at or after the current one, all columns strictly left of the
-    newest read's start are complete: as soon as the scan passes
-    ``batch_columns`` reference positions, the window's reads and the
-    reads carried over from the last window are decoded as one
-    :class:`~repro.io.bam.RecordSpan` and deposited by
-    :func:`pileup_batch_from_records` -- the kernel the batched
-    engine's BAM path uses -- and the batch is emitted (sliced
-    zero-copy into work units of at most ``batch_columns`` columns,
-    strand/mapq planes still lazy).  Reads reaching past the window
-    carry into the next one.
+    A coordinate-sorted stream arrives one alignment at a time, either
+    as raw BAM records (:meth:`add_record`, the batched engine's BAM
+    path :meth:`repro.pipeline.BamSource.batches_for`) or as
+    :class:`~repro.io.records.AlignedRead` values (:meth:`add_read`,
+    each kept read encoded as a BAM record body); feed one builder one
+    kind.  A *kept read* is a mapped read on ``region.chrom`` starting
+    before ``region.end``.  All columns left of the newest kept read's
+    start are complete, so once a kept read starts ``batch_columns``
+    positions past the last cut, the window closes at its position:
+    the records added since the cut and the reads carried over from
+    the last window become one :class:`~repro.io.bam.RecordSpan`, which
+    serves both the decode check and :func:`pileup_batch_from_records`,
+    and the batch leaves sliced zero-copy into work units of at most
+    ``batch_columns`` columns (strand/mapq planes still lazy).  Reads
+    reaching past the cut carry into the next window.
 
-    Peak construction memory is therefore bounded by the reads of one
-    window (roughly ``batch_columns`` x depth bases, plus one read
+    Every record :meth:`add_record` took is checked
+    (:meth:`~repro.io.bam.RecordSpan.check`) before anything that
+    follows it becomes visible -- a batch, the coordinate-sort error,
+    the end of the stream -- so a malformed record raises the same
+    :class:`~repro.io.errors.FormatError` at the same point as the
+    streaming engine's per-record decode.  While no kept read is
+    pending, the records are checked and dropped every
+    :data:`_CHECK_RECORDS`.  :meth:`add_read`'s bodies were just
+    encoded and are not checked.
+
+    Peak construction memory is therefore bounded by the records of
+    one window (roughly ``batch_columns`` x depth bases, plus one read
     span) -- **not** by the chunk being scanned, which is what lets a
     whole-genome region stream through the caller in constant memory.
 
     Columns, offsets, depth capping, ``min_baseq`` filtering and the
     within-column deposit order are bit-identical to building the whole
-    chunk at once with :func:`pileup_batch_from_reads` (which is itself
-    a one-window instance of this builder) and to the streaming engine
+    chunk at once with :func:`pileup_batch_from_reads` (a one-window
+    instance of this builder) and to the streaming engine
     (:func:`repro.pileup.engine.pileup`); the property suite in
     ``tests/test_column_batch.py`` asserts it per flush boundary.
 
@@ -546,13 +562,14 @@ class ColumnBatchBuilder:
         region: half-open interval to build columns for.
         config: pileup filtering parameters (defaults to
             :class:`~repro.pileup.engine.PileupConfig`).
-        batch_columns: flush granularity -- emitted batches hold at
-            most this many columns.  ``None`` disables incremental
-            flushing: everything is assembled as one batch by
-            :meth:`finish` (the whole-chunk compatibility mode).
+        batch_columns: the window, in reference positions; emitted
+            batches hold at most this many columns.
+        header: the BAM header the records' refIDs refer to; by
+            default a one-reference header for ``region.chrom``.
 
     Raises:
-        ValueError: if ``batch_columns`` is not positive.
+        ValueError: if ``batch_columns`` is not a positive int, or
+            ``region.chrom`` is not in ``header``.
     """
 
     def __init__(
@@ -561,22 +578,54 @@ class ColumnBatchBuilder:
         region: Region,
         config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = BATCH_COLUMNS,
+        batch_columns: int = BATCH_COLUMNS,
+        header: Optional[SamHeader] = None,
     ) -> None:
         self.reference = reference
         self.region = region
         self.config = config or PileupConfig()
         self.batch_columns = check_batch_columns(batch_columns)
-        #: True once a read at or beyond ``region.end`` has been seen:
-        #: no further column can change, so driver loops may stop
-        #: feeding reads (mirroring the streaming sweep's early break).
+        #: True once :meth:`add_read` has seen a read at or beyond
+        #: ``region.end``: no further column can change, so a caller's
+        #: loop may stop feeding reads (mirroring the streaming sweep's
+        #: early break).
         self.done = False
-        self._header = SamHeader(references=[(region.chrom, len(reference))])
-        self._carry: List[bytes] = []  # reads reaching past the last window
-        self._pending: List[bytes] = []  # reads kept since the last window
+        self._header = header or SamHeader(references=[(region.chrom, len(reference))])
+        self._ref_id = self._header.reference_id(region.chrom)
+        if self._ref_id < 0:
+            raise ValueError(f"contig {region.chrom!r} is not in the BAM header")
+        self._carry: List[bytes] = []  # checked reads reaching past the last cut
+        self._seen: List[bytes] = []  # the records added since the last cut
+        self._seen_at: List[int] = []  # voffsets of _seen's unchecked tail
+        self._kept: List[int] = []  # the window's reads, as indices into _seen
         self._flush_from = region.start
-        self._last_read_pos = -1
+        self._last_pos = -1
         self._finished = False
+
+    def add_record(self, vbegin: int, body: bytes, core: Tuple[int, ...]) -> List[ColumnBatch]:
+        """Take one raw BAM record at virtual offset ``vbegin``, as
+        :func:`repro.io.bam.walk_bodies` yields it; return any batches
+        it completed.
+
+        Raises:
+            FormatError: if a record taken so far does not decode, or
+                the input violates coordinate sorting.
+        """
+        self._seen.append(body)
+        self._seen_at.append(vbegin)
+        pos = core[1]
+        if core[0] != self._ref_id or core[6] & FLAG_UNMAPPED or pos >= self.region.end:
+            if not self._kept and len(self._seen) >= _CHECK_RECORDS:
+                self.check()
+                self._seen = []
+            return []
+        if pos < self._last_pos:
+            self._unsorted(body[32 : 31 + core[2]].decode("ascii"), pos)
+        self._last_pos = pos
+        # Kept before the cut, so the window's span checks it; it
+        # starts at the cut, deposits nothing there and carries over.
+        self._kept.append(len(self._seen) - 1)
+        return self._cut(pos)
 
     def add_read(self, read: AlignedRead) -> List[ColumnBatch]:
         """Deposit one alignment; return any batches it completed.
@@ -595,30 +644,19 @@ class ColumnBatchBuilder:
             raise ValueError("builder already finished")
         if read.rname != self.region.chrom or read.is_unmapped:
             return []
-        if read.pos < self._last_read_pos:
-            raise FormatError(
-                f"reads are not coordinate-sorted: {read.qname} at "
-                f"{read.pos} after {self._last_read_pos}"
-            )
-        self._last_read_pos = read.pos
+        if read.pos < self._last_pos:
+            self._unsorted(read.qname, read.pos)
+        self._last_pos = read.pos
         if read.pos >= self.region.end:
             self.done = True
             return []
-        out: List[ColumnBatch] = []
-        if (
-            self.batch_columns is not None
-            and read.pos - self._flush_from >= self.batch_columns
-        ):
-            out = self._flush(read.pos)
-        if read.reference_end <= self.region.start:
-            return out
-        if not self.config.read_passes(read):
-            return out
-        self._pending.append(encode_record(read, self._header))
-        return out
+        if read.reference_end > self.region.start and self.config.read_passes(read):
+            self._seen.append(encode_record(read, self._header))
+            self._kept.append(len(self._seen) - 1)
+        return self._cut(read.pos)
 
     def finish(self) -> List[ColumnBatch]:
-        """Flush everything still pending and seal the builder.
+        """Flush the last window and seal the builder.
 
         Returns the final batches (possibly empty).  Idempotent; any
         further :meth:`add_read` raises.
@@ -628,24 +666,47 @@ class ColumnBatchBuilder:
         self._finished = True
         return self._flush(self.region.end)
 
+    def check(self, span: Optional[RecordSpan] = None) -> None:
+        """Raise the first decode error among the records
+        :meth:`add_record` took since the last check (``span``, when
+        given, ends with them)."""
+        if self._seen_at:
+            span = RecordSpan(self._seen) if span is None else span
+            span.check(self._header, self._seen_at, len(span.bodies) - len(self._seen_at))
+            self._seen_at = []
+
+    def _unsorted(self, qname: str, pos: int) -> None:
+        """Raise the coordinate-sort error for a read at ``pos``, after
+        the decode error of any record before it."""
+        self.check()
+        raise FormatError(
+            f"reads are not coordinate-sorted: {qname} at {pos} after {self._last_pos}"
+        )
+
+    def _cut(self, pos: int) -> List[ColumnBatch]:
+        """The window rule: a kept read starting ``batch_columns``
+        positions past the last cut closes the window at ``pos``."""
+        if pos - self._flush_from >= self.batch_columns:
+            return self._flush(pos)
+        return []
+
     def _flush(self, end: int) -> List[ColumnBatch]:
-        """Deposit the window ``[flush_from, end)`` from one span over
-        the carried and pending reads; carry the reads reaching past
-        ``end``."""
-        bodies = self._carry + self._pending
+        """Deposit the window ``[last cut, end)`` from one span over the
+        carry and the records added since the cut, checked first; carry
+        the reads reaching past ``end``."""
+        carry, seen = self._carry, self._seen
         window = Region(self.region.chrom, self._flush_from, end)
         self._flush_from = end
-        if not bodies:
+        if not carry and not seen:
             return []
+        span = RecordSpan(carry + seen)
+        self.check(span)
+        rows = np.concatenate([np.arange(len(carry)), np.add(self._kept, len(carry))])
         batch, rest = pileup_batch_from_records(
-            RecordSpan(bodies),
-            np.arange(len(bodies)),
-            self.reference,
-            window,
-            self.config,
+            span, rows.astype(np.int64), self.reference, window, self.config
         )
-        self._carry = [bodies[j] for j in rest]
-        self._pending = []
+        self._carry = [span.bodies[j] for j in rest]
+        self._seen, self._kept = [], []
         return batch.split(self.batch_columns)
 
 
@@ -655,14 +716,14 @@ def iter_pileup_batches(
     region: Region,
     config: Optional[PileupConfig] = None,
     *,
-    batch_columns: Optional[int] = BATCH_COLUMNS,
+    batch_columns: int = BATCH_COLUMNS,
 ) -> Iterator[ColumnBatch]:
     """Stream coordinate-sorted alignments through a
     :class:`ColumnBatchBuilder`, yielding bounded
     :class:`~repro.pileup.column.ColumnBatch` work units as the scan
     completes them.
 
-    Construction memory stays proportional to one flush window
+    Construction memory stays proportional to one window
     (``batch_columns`` columns), never the whole region -- the
     bounded-memory twin of :func:`pileup_batch_from_reads`, with
     identical columns overall (the batched caller engine produces
@@ -676,7 +737,7 @@ def iter_pileup_batches(
 
     Raises:
         FormatError: if the input violates coordinate sorting.
-        ValueError: if ``batch_columns`` is not positive.
+        ValueError: if ``batch_columns`` is not a positive int.
     """
     builder = ColumnBatchBuilder(
         reference, region, config, batch_columns=batch_columns
@@ -704,11 +765,11 @@ def pileup_batch_from_reads(
     skips, flag filters, the coordinate-sort check) are identical to
     :func:`repro.pileup.engine.pileup`.
 
-    Implemented as a one-window :class:`ColumnBatchBuilder` pass
-    (``batch_columns=None``), so construction memory is the whole
-    chunk; callers that can consume batches incrementally should use
-    :func:`iter_pileup_batches` instead, which bounds memory at one
-    flush window.
+    Implemented as :func:`iter_pileup_batches` with one window as wide
+    as ``region``, so construction memory is the whole chunk; callers
+    that can consume batches incrementally should use
+    :func:`iter_pileup_batches` itself, which bounds memory at one
+    window.
 
     The batch's strand/mapq planes are built *lazily*: the screen only
     reads base codes and qualities, so the per-base strand/mapq
@@ -719,14 +780,8 @@ def pileup_batch_from_reads(
     Raises:
         FormatError: if the input violates coordinate sorting.
     """
-    builder = ColumnBatchBuilder(
-        reference, region, config, batch_columns=None
-    )
-    for read in reads:
-        builder.add_read(read)
-        if builder.done:
-            break
-    batches = builder.finish()
+    cap = max(1, len(region))
+    batches = list(iter_pileup_batches(reads, reference, region, config, batch_columns=cap))
     return batches[0] if batches else ColumnBatch.empty(region.chrom)
 
 

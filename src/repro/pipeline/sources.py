@@ -19,11 +19,16 @@ in each engine's own unit type:
 
 Both are lazy where the substrate permits (:class:`BamSource` streams
 one window or one column per pull), so the execution layer is free to
-re-chunk regions for scheduling.  Both must be safe to call from
-multiple workers at once (:class:`BamSource` keeps one reader per
-worker; :class:`SampleSource` reads shared matrices), except
-:class:`ReadsSource` over a one-shot iterator, which supports exactly
-one pass and is documented as such.  Both take the pulling worker's
+re-chunk regions for scheduling.  Every batch stream windows at
+``batch_columns`` positions: :class:`BamSource` (raw records) and
+:class:`ReadsSource` (reads) feed a
+:class:`~repro.pileup.vectorized.ColumnBatchBuilder`, the one owner
+of the window rule, and :class:`SampleSource` tiles its chunk, whose
+reads are matrices rather than a sorted stream.  Both streams must be
+safe to call from multiple workers at once (:class:`BamSource` keeps
+one reader per worker; :class:`SampleSource` reads shared matrices),
+except :class:`ReadsSource` over a one-shot iterator, which supports
+exactly one pass and is documented as such.  Both take the pulling worker's
 :class:`~repro.core.results.RunStats`, to which :class:`BamSource`
 adds its stream's block-cache lookups; the in-memory sources ignore
 it.  Pre-built columns need no
@@ -51,12 +56,11 @@ from typing import (
     runtime_checkable,
 )
 
-import numpy as np
-
 from repro.core.results import IO_COUNTERS, RunStats
 from repro.io.errors import FormatError
-from repro.io.records import FLAG_UNMAPPED, AlignedRead
+from repro.io.records import AlignedRead
 from repro.io.regions import Region
+from repro.parallel.partition import chunk_region
 from repro.parallel.trace import Category, Tracer
 from repro.pileup.column import (
     BATCH_COLUMNS,
@@ -82,11 +86,6 @@ ReferenceLike = Union[str, Mapping[str, object]]
 #: to the chunk: on its contig before its end, on an earlier contig, or
 #: where the scan stops.
 _KEEP, _SKIP, _STOP = range(3)
-
-#: Records the batch stream reads between decode checks while no window
-#: read is pending (a plan crossing other contigs), bounding what they
-#: hold.
-_CHECK_RECORDS = 4096
 
 
 @runtime_checkable
@@ -132,10 +131,9 @@ class ReadsSource:
         reference: reference sequence for ``region.chrom``.
         region: scope of the calling run.
         pileup_config: pileup filtering parameters.
-        batch_columns: cap on the columns per batch work unit emitted
-            by :meth:`batches_for` (the
-            :class:`~repro.pileup.vectorized.ColumnBatchBuilder` flush
-            granularity); ``None`` builds each chunk as one batch.
+        batch_columns: the window of :meth:`batches_for` (the
+            :class:`~repro.pileup.vectorized.ColumnBatchBuilder`'s),
+            and the cap on the columns per emitted batch.
     """
 
     def __init__(
@@ -145,7 +143,7 @@ class ReadsSource:
         region: Region,
         pileup_config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = BATCH_COLUMNS,
+        batch_columns: int = BATCH_COLUMNS,
     ) -> None:
         self._reads = reads
         self._consumed = False
@@ -222,7 +220,6 @@ class SampleSource:
             unit emitted by :meth:`batches_for`: each sub-window is
             built independently by the computed-permutation deposit,
             so construction memory is one window, not the chunk.
-            ``None`` builds each chunk as a single batch.
     """
 
     def __init__(
@@ -231,7 +228,7 @@ class SampleSource:
         region: Optional[Region] = None,
         pileup_config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = BATCH_COLUMNS,
+        batch_columns: int = BATCH_COLUMNS,
     ) -> None:
         self.sample = sample
         self._region = region
@@ -282,15 +279,7 @@ class SampleSource:
         from repro.pileup.vectorized import pileup_sample_batch
 
         trc = tracer or Tracer()
-        cap = self.batch_columns
-        if cap is None:
-            spans = [chunk]
-        else:
-            spans = [
-                Region(chunk.chrom, lo, min(lo + cap, chunk.end))
-                for lo in range(chunk.start, chunk.end, cap)
-            ]
-        for span in spans:
+        for span in chunk_region(chunk, self.batch_columns):
             with trc.span(worker, Category.BAM_ITER):
                 batch = pileup_sample_batch(
                     self.sample, span, self.pileup_config
@@ -339,7 +328,6 @@ class BamSource:
             window's reads, and downstream per-batch structures
             (screen histograms, survivor planes, per-unit call
             buffers) stay bounded even for huge unchunked regions.
-            ``None`` builds each chunk as one window and one batch.
         index: region-seek index.  ``None`` (default) lazily builds
             the per-contig linear index in memory on first region
             seek (one walk of the record headers, no record decode);
@@ -352,8 +340,8 @@ class BamSource:
 
     Raises:
         ValueError: if a single reference string is paired with regions
-            on more than one contig, or ``batch_columns`` is not
-            positive.
+            on more than one contig, or ``batch_columns`` is not a
+            positive int.
     """
 
     #: Decompressed-block LRU capacity per worker reader (~64 KiB a
@@ -367,7 +355,7 @@ class BamSource:
         regions: Optional[Sequence[Region]] = None,
         pileup_config: Optional[PileupConfig] = None,
         *,
-        batch_columns: Optional[int] = BATCH_COLUMNS,
+        batch_columns: int = BATCH_COLUMNS,
         index=None,
     ) -> None:
         from repro.io.bam import BamReader
@@ -628,95 +616,32 @@ class BamSource:
         yield from self._timed_pulls(reader, counted, inner, trc, worker, stats)
 
     def _stream_batches(self, reader, chunk: Region, plan):
-        """The untimed inner generator behind :meth:`batches_for`.
+        """The untimed inner generator behind :meth:`batches_for`: every
+        record the seek plan reads goes through one
+        :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, which
+        cuts the windows and checks each record before anything that
+        follows it becomes visible.  A record the walk itself rejects
+        raises only after the records read before it are checked, so
+        errors surface as in :meth:`columns_for`."""
+        from repro.pileup.vectorized import ColumnBatchBuilder
 
-        Each record passes only through the fixed-field walk here;
-        when the scan has moved ``batch_columns`` positions past the
-        last window (the :class:`~repro.pileup.vectorized.ColumnBatchBuilder`
-        flush rule), the records read since the last window and the
-        reads carried over from it are decoded as one
-        :class:`~repro.io.bam.RecordSpan`, which serves both the
-        decode check and
-        :func:`~repro.pileup.vectorized.pileup_batch_from_records`;
-        the reads still reaching past the window carry into the next.
-        Before anything that follows a record becomes visible -- a
-        batch, the coordinate-sort error, the end of the stream -- every
-        record read so far is checked against
-        :func:`~repro.io.bam.decode_record`
-        (:meth:`~repro.io.bam.RecordSpan.check`), so a malformed record
-        raises the same error at the same point as in
-        :meth:`columns_for`.
-        """
-        from repro.io.bam import RecordSpan
-        from repro.pileup.vectorized import pileup_batch_from_records
-
-        header = reader.header
-        reference = self._reference_for(chunk.chrom)
-        config = self.pileup_config
-        cap = self.batch_columns
-        carry: List[bytes] = []  # checked reads reaching past the last window
-        seen: List[bytes] = []  # every record read since the last check
-        seen_at: List[int] = []
-        kept: List[int] = []  # the window's reads, as indices into seen
-        flush_from = chunk.start
-        last_pos = -1
-
-        def check() -> None:
-            """Raise the first decode error among the records read
-            since the last check."""
-            RecordSpan(seen).check(header, seen_at)
-            seen.clear()
-            seen_at.clear()
-
-        def flush(end: int) -> ColumnBatch:
-            """Check the records read since the last window and build
-            the window ``[flush_from, end)`` from one span."""
-            nonlocal carry, flush_from
-            span = RecordSpan(carry + seen)
-            span.check(header, seen_at, first=len(carry))
-            rows = np.concatenate(
-                [np.arange(len(carry)), np.add(kept, len(carry))]
-            ).astype(np.int64)
-            batch, rest = pileup_batch_from_records(
-                span, rows, reference, Region(chunk.chrom, flush_from, end),
-                config,
-            )
-            carry = [span.bodies[j] for j in rest]
-            seen.clear()
-            seen_at.clear()
-            kept.clear()
-            flush_from = end
-            return batch
-
+        builder = ColumnBatchBuilder(
+            self._reference_for(chunk.chrom),
+            chunk,
+            self.pileup_config,
+            batch_columns=self.batch_columns,
+            header=reader.header,
+        )
+        add = builder.add_record
         try:
-            for where, vbegin, body, core in self._plan_records(
-                reader, chunk, plan
-            ):
-                seen.append(body)
-                seen_at.append(vbegin)
-                if where != _KEEP or core[6] & FLAG_UNMAPPED:
-                    if not kept and len(seen) >= _CHECK_RECORDS:
-                        check()
-                    continue
-                pos = core[1]
-                if pos < last_pos:
-                    check()
-                    qname = body[32 : 31 + core[2]].decode("ascii")
-                    raise FormatError(
-                        f"reads are not coordinate-sorted: {qname} at "
-                        f"{pos} after {last_pos}"
-                    )
-                last_pos = pos
-                # Kept before the flush, so one span checks it; it
-                # starts at the window's end, deposits nothing there
-                # and carries into the next window.
-                kept.append(len(seen) - 1)
-                if cap is not None and pos - flush_from >= cap:
-                    yield from flush(pos).split(cap)
+            for _, vbegin, body, core in self._plan_records(reader, chunk, plan):
+                batches = add(vbegin, body, core)
+                if batches:
+                    yield from batches
         except FormatError:
-            check()  # a record read before the bad one fails first
+            builder.check()  # a record read before the bad one fails first
             raise
-        yield from flush(chunk.end).split(cap)
+        yield from builder.finish()
 
     def batches_for(
         self,
@@ -727,20 +652,17 @@ class BamSource:
     ) -> Iterable[ColumnBatch]:
         """The chunk as a lazy stream of bounded batch work units.
 
-        The batched engine's BAM path decodes a span of records at a
-        time, with no :class:`~repro.io.records.AlignedRead` built:
-        the fixed-field walk collects a window's record bodies, then
-        :func:`repro.pileup.vectorized.pileup_batch_from_records`
-        expands their sequence nibbles and qualities by numpy gathers
-        over one buffer and deposits them -- through the counting
-        deposit when every read in the window is ungapped and of one
-        length, the stable-sort deposit otherwise.  A window closes
-        as soon as the scan passes ``batch_columns`` positions, so
-        peak construction memory is one window's reads regardless of
-        how large (or unchunked) the region is, and each
-        :class:`~repro.pileup.column.ColumnBatch` holds at most
-        ``batch_columns`` columns (wider windows are sliced zero-copy,
-        strand/mapq planes still lazy).  Columns equal
+        The batched engine's BAM path builds no
+        :class:`~repro.io.records.AlignedRead`: the fixed-field walk
+        hands each record's body to a
+        :class:`~repro.pileup.vectorized.ColumnBatchBuilder`
+        (:meth:`~repro.pileup.vectorized.ColumnBatchBuilder.add_record`),
+        which closes a window as soon as the scan passes
+        ``batch_columns`` positions and decodes and deposits it a span
+        of records at a time.  Peak construction memory is one
+        window's reads regardless of how large (or unchunked) the
+        region is, and each :class:`~repro.pileup.column.ColumnBatch`
+        holds at most ``batch_columns`` columns.  Columns equal
         :meth:`columns_for`'s, and a malformed record raises the same
         :class:`~repro.io.errors.FormatError`.
 

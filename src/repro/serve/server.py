@@ -23,8 +23,9 @@
 :func:`serve_tcp` exposes the service over a newline-delimited-JSON
 TCP protocol (one request object per line in, one response object per
 line out); :func:`run_server` is the blocking CLI entry point with
-signal-driven graceful shutdown -- stop accepting, drain in-flight
-work, then exit.
+signal-driven graceful shutdown -- stop accepting, answer the requests
+still computing, close the open connections from the server side,
+drain the service, then exit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import asyncio
 import concurrent.futures
 import json
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.io.errors import FormatError
 from repro.serve.cache import CachedResult, ResultCache
@@ -314,8 +315,29 @@ class CallService:
 # -- TCP front end -------------------------------------------------------------
 
 
+class _Connections:
+    """The open connections of one TCP front end, so that shutdown can
+    end them without cancelling a handler mid-read."""
+
+    def __init__(self) -> None:
+        self.handlers: Set[asyncio.Task] = set()
+        #: handlers waiting for a request line, with their writers
+        self.idle: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self.closing = False
+
+    async def close(self) -> None:
+        """Close the idle connections from the server side (their
+        pending reads see end of file) and wait for every handler to
+        end, a request still computing getting its response first."""
+        self.closing = True
+        for writer in self.idle.values():
+            writer.close()
+        await asyncio.gather(*self.handlers, return_exceptions=True)
+
+
 async def _handle_connection(
     service: CallService,
+    connections: _Connections,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
@@ -325,10 +347,14 @@ async def _handle_connection(
     or a :class:`~repro.io.errors.FormatError` from an input that does
     not parse) produce ``{"status": "error", "kind": ..., ...}`` and
     keep the connection open."""
+    task = asyncio.current_task()
+    connections.handlers.add(task)
     try:
-        while True:
+        while not connections.closing:
+            connections.idle[task] = writer
             line = await reader.readline()
-            if not line:
+            del connections.idle[task]
+            if not line or connections.closing:
                 break
             try:
                 payload = json.loads(line)
@@ -360,6 +386,8 @@ async def _handle_connection(
     except (ConnectionResetError, BrokenPipeError):
         pass
     finally:
+        connections.idle.pop(task, None)
+        connections.handlers.discard(task)
         writer.close()
 
 
@@ -376,8 +404,9 @@ async def serve_tcp(
     notified once the socket is bound (used by tests and the CLI's
     readiness line).
     """
+    connections = _Connections()
     server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, connections, r, w), host, port
     )
     if ready is not None:
         ready.set()
@@ -393,7 +422,8 @@ def run_server(
 
     Binds, prints a readiness line (``serving on HOST:PORT``), then
     runs until SIGINT/SIGTERM; on shutdown it stops accepting
-    connections, drains in-flight requests, and returns 0.
+    connections, lets every request still computing send its response,
+    closes the open connections, drains the service, and returns 0.
     """
     import signal
 
@@ -406,13 +436,17 @@ def run_server(
                 loop.add_signal_handler(sig, stop.set)
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
-        server = await serve_tcp(service, host, port)
+        connections = _Connections()
+        server = await asyncio.start_server(
+            lambda r, w: _handle_connection(service, connections, r, w), host, port
+        )
         addr = server.sockets[0].getsockname()
         print(f"serving on {addr[0]}:{addr[1]}", flush=True)
         try:
             await stop.wait()
         finally:
             server.close()
+            await connections.close()
             await server.wait_closed()
             await service.shutdown()
 

@@ -142,6 +142,49 @@ class TestSeek:
         rest_b = reader.read()
         assert rest_a == rest_b == bytes(range(100, 200))
 
+    @pytest.mark.parametrize("within", [0, 5])
+    def test_seek_past_end_of_file_raises(self, tmp_path, within):
+        """A seek into a block at or past the end of the file (a BAM cut
+        after its index was built) names the file and the offset."""
+        raw = _bgzf_bytes(_random.Random(9).randbytes(100_000))
+        cut = block_offsets(io.BytesIO(raw))[1]
+        path = tmp_path / "cut.bgz"
+        path.write_bytes(raw[:cut])
+        for block in (cut, cut + 1000):
+            voffset = make_virtual_offset(block, within)
+            with BgzfReader(str(path)) as reader:
+                with pytest.raises(FormatError, match="past the end of the file") as info:
+                    reader.seek(voffset)
+            assert str(info.value).startswith(f"{path}: ")
+            assert f"virtual offset {voffset} " in str(info.value)
+
+    def test_seek_past_block_size_raises(self, tmp_path):
+        raw = _bgzf_bytes(b"A" * MAX_BLOCK_DATA + b"B" * 1000)
+        second = block_offsets(io.BytesIO(raw))[1]
+        path = tmp_path / "short.bgz"
+        path.write_bytes(raw)
+        for block, size in ((0, MAX_BLOCK_DATA), (second, 1000)):
+            voffset = make_virtual_offset(block, size + 1)
+            with BgzfReader(str(path)) as reader:
+                with pytest.raises(FormatError, match=f"exceeds block size {size}") as info:
+                    reader.seek(voffset)
+            assert str(info.value).startswith(f"{path}: ")
+            assert f"virtual offset {voffset}: " in str(info.value)
+
+    def test_seek_to_eof_marker_and_end_of_stream(self):
+        payload = b"C" * 5000
+        raw = _bgzf_bytes(payload)
+        marker = make_virtual_offset(len(raw) - len(BGZF_EOF), 0)
+        with BgzfReader(io.BytesIO(raw)) as reader:
+            assert reader.read() == payload
+            end = reader.tell()
+            reader.seek(0)
+            assert reader.seek(end) == end
+            assert reader.read() == b""
+        with BgzfReader(io.BytesIO(raw)) as reader:
+            reader.seek(marker)
+            assert reader.read() == b""
+
     def test_readexact_raises_at_eof(self):
         buf = io.BytesIO()
         with BgzfWriter(buf) as writer:

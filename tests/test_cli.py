@@ -477,6 +477,32 @@ class TestCompareUpset:
         out = capsys.readouterr().out
         assert "shared" in out
 
+    @pytest.mark.parametrize("command", ["compare", "upset"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("pos", "line 2: POS 'x' is not an integer"),
+            ("columns", "line 2: VCF line has 2 columns"),
+            ("missing", "No such file"),
+        ],
+        ids=["pos", "columns", "missing"],
+    )
+    def test_malformed_vcf_errors(
+        self, handmade_vcfs, tmp_path, capsys, command, damage, message
+    ):
+        """A VCF that is missing or does not parse is one ``error:``
+        line and exit 2 (exit 1 keeps meaning "call sets differ")."""
+        bad = tmp_path / "bad.vcf"
+        if damage == "pos":
+            bad.write_text("#CHROM\nc\tx\t.\tA\tT\t60\tPASS\t.\n")
+        elif damage == "columns":
+            bad.write_text("#CHROM\nc\t5\n")
+        rc = main([command, str(handmade_vcfs["a"]), str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err and str(bad) in err
+
     def test_compare_ignores_failing_filters(self, handmade_vcfs, capsys):
         """Only PASS and '.' records count: 'a' and 'a_like' differ in
         their failing records but share the same effective set."""
@@ -886,6 +912,41 @@ class TestCallIndexAndCache:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "negative bin count" in err
+
+    @pytest.mark.parametrize("engine", ["streaming", "batched"])
+    def test_region_call_on_cut_bam_errors(self, tmp_path, capsys, engine):
+        """A region whose index plan seeks past the end of a BAM cut at
+        a BGZF block boundary (the index built before the cut) is one
+        ``error:`` line and exit 2."""
+        from repro.io.bam import write_bam
+        from repro.io.bgzf import block_offsets
+        from repro.io.records import AlignedRead, SamHeader
+
+        header = SamHeader(references=[("ctgA", 2000), ("ctgB", 2000)])
+        reads = [
+            AlignedRead.simple(f"{name}{i}", name, i, "ACGT" * 25, [30] * 100)
+            for name, n in (("ctgA", 1500), ("ctgB", 300))
+            for i in range(n)
+        ]
+        full = tmp_path / "full.bam"
+        write_bam(full, header, reads)
+        assert main(["index", str(full)]) == 0
+        ref = tmp_path / "ref.fa"
+        ref.write_text(">ctgA\n" + "A" * 2000 + "\n>ctgB\n" + "C" * 2000 + "\n")
+        cut = tmp_path / "cut.bam"
+        cut.write_bytes(full.read_bytes()[: block_offsets(str(full))[1]])
+        out = tmp_path / "out.vcf"
+        capsys.readouterr()
+        rc = main(
+            ["call", str(cut), "--reference", str(ref), "--out", str(out),
+             "--region", "ctgB:101-400", "--index", f"{full}.bai",
+             "--engine", engine]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{cut}: " in err and "past the end of the file" in err
+        assert not out.exists()
 
     def test_stats_json_has_cache_counters(self, workspace, tmp_path):
         import json

@@ -523,7 +523,7 @@ def test_builder_batch_size_does_not_change_output(tmp_path, merge_mapq):
     bam = tmp_path / "sizes.bam"
     dataset.write_bam(bam)
     results = []
-    for cap in (None, 17, 256):
+    for cap in (len(dataset.genome), 17, 256):
         results.append(
             Pipeline(
                 BamSource(

@@ -1,18 +1,10 @@
-"""Unit tests for FASTA and FASTQ I/O."""
+"""Unit tests for FASTA I/O."""
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.io.fasta import FastaRecord, load_reference, read_fasta, write_fasta
-from repro.io.fastq import (
-    FastqRecord,
-    ascii_to_phred,
-    phred_to_ascii,
-    read_fastq,
-    write_fastq,
-)
 
 
 class TestFasta:
@@ -57,63 +49,3 @@ class TestFasta:
     def test_empty_file_yields_nothing(self):
         assert list(read_fasta(io.StringIO(""))) == []
 
-
-class TestPhredCoding:
-    def test_round_trip(self):
-        q = np.array([0, 10, 41, 93], dtype=np.uint8)
-        assert np.array_equal(ascii_to_phred(phred_to_ascii(q)), q)
-
-    def test_known_encoding(self):
-        # Phred 0 -> '!', Phred 40 -> 'I'
-        assert phred_to_ascii(np.array([0, 40])) == "!I"
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            phred_to_ascii(np.array([94]))
-
-    def test_non_phred_character_raises(self):
-        with pytest.raises(ValueError):
-            ascii_to_phred("\x1f")
-
-
-class TestFastq:
-    def test_round_trip(self, tmp_path):
-        records = [
-            FastqRecord("r1", "ACGT", np.array([30, 31, 32, 33], dtype=np.uint8)),
-            FastqRecord("r2", "GG", np.array([2, 41], dtype=np.uint8)),
-        ]
-        path = tmp_path / "test.fq"
-        write_fastq(path, records)
-        back = list(read_fastq(path))
-        assert [r.name for r in back] == ["r1", "r2"]
-        assert [r.sequence for r in back] == ["ACGT", "GG"]
-        for a, b in zip(back, records):
-            assert np.array_equal(a.quality, b.quality)
-
-    def test_error_probabilities(self):
-        rec = FastqRecord("r", "AC", np.array([10, 20], dtype=np.uint8))
-        assert np.allclose(rec.error_probabilities, [0.1, 0.01])
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            FastqRecord("r", "ACGT", np.array([30], dtype=np.uint8))
-
-    def test_missing_plus_raises(self):
-        text = "@r\nACGT\nXXXX\nIIII\n"
-        with pytest.raises(ValueError, match="separator"):
-            list(read_fastq(io.StringIO(text)))
-
-    def test_missing_at_raises(self):
-        text = "r\nACGT\n+\nIIII\n"
-        with pytest.raises(ValueError, match="defline"):
-            list(read_fastq(io.StringIO(text)))
-
-    def test_truncated_record_raises(self):
-        text = "@r\nACGT\n"
-        with pytest.raises(ValueError):
-            list(read_fastq(io.StringIO(text)))
-
-    def test_name_stops_at_whitespace(self):
-        text = "@read1 extra info\nAC\n+\nII\n"
-        (rec,) = read_fastq(io.StringIO(text))
-        assert rec.name == "read1"

@@ -576,7 +576,7 @@ class TestBamSourceBatchColumns:
         whole = next(
             iter(
                 BamSource(
-                    bam, genome.sequence, batch_columns=None
+                    bam, genome.sequence, batch_columns=len(region)
                 ).batches_for(region)
             )
         )
@@ -599,7 +599,7 @@ class TestBamSourceBatchColumns:
     def test_resliced_pipeline_byte_identical(self, bam_workspace, genome):
         _, bam = bam_workspace
         results = {}
-        for label, cap in (("whole", None), ("sliced", 64)):
+        for label, cap in (("whole", len(genome)), ("sliced", 64)):
             results[label] = Pipeline(
                 BamSource(bam, genome.sequence, batch_columns=cap),
                 config=CallerConfig(engine="batched"),
@@ -617,6 +617,43 @@ class TestBamSourceBatchColumns:
         _, bam = bam_workspace
         with pytest.raises(ValueError, match="batch_columns"):
             BamSource(bam, genome.sequence, batch_columns=0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "BamSource",
+            "ReadsSource",
+            "SampleSource",
+            "ColumnBatchBuilder",
+            "iter_pileup_batches",
+        ],
+    )
+    def test_no_whole_chunk_window(self, bam_workspace, sample, genome, entry):
+        """Every batch producer windows: none takes ``None`` for one
+        batch per chunk."""
+        from repro.pileup.vectorized import (
+            ColumnBatchBuilder,
+            iter_pileup_batches,
+        )
+
+        _, bam = bam_workspace
+        ref = genome.sequence
+        region = Region(genome.name, 0, len(genome))
+        make = {
+            "BamSource": lambda: BamSource(bam, ref, batch_columns=None),
+            "ReadsSource": lambda: ReadsSource(
+                [], ref, region, batch_columns=None
+            ),
+            "SampleSource": lambda: SampleSource(sample, batch_columns=None),
+            "ColumnBatchBuilder": lambda: ColumnBatchBuilder(
+                ref, region, batch_columns=None
+            ),
+            "iter_pileup_batches": lambda: list(
+                iter_pileup_batches([], ref, region, batch_columns=None)
+            ),
+        }[entry]
+        with pytest.raises(ValueError, match="batch_columns"):
+            make()
 
 
 class TestMultiIndex:

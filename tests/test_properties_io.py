@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from repro.io.bam import decode_record, encode_record
 from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.cigar import CigarOp, cigar_to_string, parse_cigar
-from repro.io.fastq import ascii_to_phred, phred_to_ascii
 from repro.io.records import AlignedRead, SamHeader
-from repro.io.sam import format_record, parse_record
 
 HEADER = SamHeader(references=[("chr1", 1 << 20)], sort_order="coordinate")
 
@@ -113,24 +111,8 @@ class TestRecordCodecProperties:
         assert np.array_equal(back.qual, read.qual)
         assert back.tags == read.tags
 
-    @given(aligned_reads())
-    @settings(max_examples=60, deadline=None)
-    def test_sam_round_trip(self, read):
-        back = parse_record(format_record(read))
-        assert back.qname == read.qname
-        assert back.pos == read.pos
-        assert back.cigar == read.cigar
-        assert back.seq == read.seq
-        assert np.array_equal(back.qual, read.qual)
-
 
 class TestTextCodecs:
-    @given(st.lists(st.integers(0, 93), max_size=100))
-    @settings(max_examples=60, deadline=None)
-    def test_phred_round_trip(self, quals):
-        arr = np.array(quals, dtype=np.uint8)
-        assert np.array_equal(ascii_to_phred(phred_to_ascii(arr)), arr)
-
     @given(
         st.lists(
             st.tuples(

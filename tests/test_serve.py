@@ -465,6 +465,48 @@ class TestTcpFrontEnd:
         assert stats["stats"]["computed"] == 1
 
 
+class TestServerShutdown:
+    def test_sigterm_with_an_idle_connection_open(self, dataset):
+        """``serve`` on SIGTERM with an idle connection open: the server
+        closes it (the client reads end of file), prints no traceback
+        and exits 0 -- no handler is cancelled mid-read."""
+        import signal
+        import socket
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--reference", dataset["ref"]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            ready = server.stdout.readline()
+            assert ready.startswith("serving on "), ready
+            host, port = ready.split()[-1].rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=60) as sock:
+                lines = sock.makefile("rw")
+                lines.write(json.dumps({"op": "stats"}) + "\n")
+                lines.flush()
+                assert json.loads(lines.readline())["status"] == "ok"
+                server.send_signal(signal.SIGTERM)
+                _, stderr = server.communicate(timeout=60)
+                assert sock.recv(1) == b""
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert "Traceback" not in stderr, stderr
+
+
 def _tcp_session(service, payloads):
     """Send each payload on one TCP connection to ``service``; the
     decoded response lines, in order."""

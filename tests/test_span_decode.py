@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from repro.core import CallerConfig
 from repro.io import FormatError
-from repro.io.bam import BamWriter, RecordSpan, decode_record, walk_bodies
+from repro.io.bam import (
+    BamWriter,
+    RecordSpan,
+    decode_record,
+    read_bam,
+    walk_bodies,
+)
 from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.cigar import CigarOp, collapse
 from repro.io.index import build_bai_index
@@ -37,6 +43,7 @@ from repro.io.records import (
 from repro.io.regions import Region
 from repro.pileup.column import BATCH_COLUMNS, ColumnBatch
 from repro.pileup.engine import PileupConfig
+from repro.pileup.vectorized import iter_pileup_batches
 from repro.pipeline import BamSource, Pipeline, VcfSink
 
 CONTIGS = [("ctgA", 260), ("ctgB", 180), ("ctgC", 120)]
@@ -200,7 +207,7 @@ def write(dirpath, reads) -> str:
 
 class TestSpanMatchesStreaming:
     @given(case=bam_cases(), caps=st.lists(
-        st.sampled_from([None, 1, 7, 40, 16384]), min_size=1, max_size=2,
+        st.sampled_from([1, 7, 40, 16384]), min_size=1, max_size=2,
         unique=True,
     ))
     @settings(
@@ -225,9 +232,39 @@ class TestSpanMatchesStreaming:
             )
             batches = list(source.batches_for(region))
             assert all(b.n_columns > 0 for b in batches)
-            if cap is not None:
-                assert all(b.n_columns <= cap for b in batches)
+            assert all(b.n_columns <= cap for b in batches)
             assert_batches_identical(expected, merged(batches, region.chrom))
+
+    @given(case=bam_cases(), caps=st.lists(
+        st.sampled_from([1, 7, 40, 16384]), min_size=1, max_size=3,
+        unique=True,
+    ))
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_records_and_reads_cut_alike(self, bam_dir, case, caps):
+        """One window rule: raw records (``BamSource.batches_for``) and
+        the same reads decoded (``iter_pileup_batches``) give batches
+        with the same first and last positions at every window size."""
+        reads, region, config = case
+        path = write(bam_dir, reads)
+        _, decoded = read_bam(path)
+
+        def bounds(batches):
+            return [(int(b.positions[0]), int(b.positions[-1])) for b in batches]
+
+        for cap in caps:
+            source = BamSource(
+                path, REFERENCE, regions=[region], pileup_config=config,
+                batch_columns=cap,
+            )
+            assert bounds(source.batches_for(region)) == bounds(
+                iter_pileup_batches(
+                    decoded, REFERENCE[region.chrom], region, config,
+                    batch_columns=cap,
+                )
+            )
 
     def test_depth_cap_and_windows_on_gapped_reads(self, tmp_path):
         """A deep pile of clipped, gapped reads of several lengths: the
@@ -262,7 +299,7 @@ class TestSpanMatchesStreaming:
             BamSource(path, REFERENCE, pileup_config=config), region
         )
         assert int(expected.n_capped.sum()) > 0, "cap never engaged"
-        for cap in (None, 3, 50):
+        for cap in (len(region), 3, 50):
             batches = list(
                 BamSource(
                     path, REFERENCE, pileup_config=config, batch_columns=cap
@@ -314,7 +351,7 @@ class TestSpanMatchesStreaming:
 
         monkeypatch.setattr(vectorized, "pileup_batch_from_arrays", spy_counting)
         monkeypatch.setattr(vectorized, "_sorted_deposit", spy_sort)
-        for cap in (BATCH_COLUMNS, None):
+        for cap in (BATCH_COLUMNS, length):
             widths.clear()
             sorts.clear()
             source = BamSource(
@@ -322,7 +359,7 @@ class TestSpanMatchesStreaming:
             )
             batches = list(source.batches_for(region))
             assert all(width >= rl for width in widths), cap
-            assert bool(sorts) == (cap is not None), cap
+            assert bool(sorts) == (cap < rl), cap
             assert_batches_identical(expected, merged(batches, "chr"))
 
     def test_builds_no_aligned_read(self, tmp_path, monkeypatch):
@@ -501,7 +538,7 @@ class TestDamagedRecords:
         bai, bai_error = _outcome(lambda: build_bai_index(path))
         for region in QUERIES:
             for index in (None, bai) if bai_error is None else (None,):
-                for cap in (None, 9):
+                for cap in (len(region), 9):
                     def source():
                         return BamSource(
                             path, REFERENCE, regions=[region], index=index,

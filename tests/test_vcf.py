@@ -2,10 +2,14 @@
 
 import io
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.io.vcf import VcfRecord, iter_vcf, read_vcf, write_vcf
+from repro.io import FormatError
+from repro.io.vcf import VcfRecord, read_vcf, write_vcf
 
 
 def make_record(**kwargs):
@@ -84,16 +88,69 @@ class TestFile:
         chrom_line = [l for l in lines if l.startswith("#CHROM")]
         assert len(chrom_line) == 1
 
-    def test_iter_vcf_skips_headers(self, tmp_path):
-        path = tmp_path / "y.vcf"
-        write_vcf(path, [make_record(pos=5)])
-        records = list(iter_vcf(path))
-        assert len(records) == 1
-        assert records[0].pos == 5
-
     def test_empty_vcf(self, tmp_path):
         path = tmp_path / "empty.vcf"
         write_vcf(path, [])
         headers, records = read_vcf(path)
         assert records == []
         assert headers
+
+
+class TestMalformedInput:
+    """A VCF that does not parse raises ``FormatError`` naming the line,
+    and the file when one was opened by path."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("chr1\t100\t.\tA", "line 3: VCF line has 4 columns"),
+            ("chr1\tx\t.\tA\tT\t50\tPASS\t.", "line 3: POS 'x' is not an integer"),
+            ("chr1\t100\t.\tA\tT\thigh\tPASS\t.", "line 3: QUAL 'high' is neither"),
+        ],
+        ids=["columns", "pos", "qual"],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.vcf"
+        path.write_text("##fileformat=VCFv4.2\n" + make_record().to_line() + "\n" + line + "\n")
+        with pytest.raises(FormatError, match=message) as info:
+            read_vcf(path)
+        assert str(info.value).startswith(f"{path}: ")
+        with pytest.raises(FormatError, match=message) as info:
+            read_vcf(io.StringIO(path.read_text()))
+        assert str(info.value).startswith("line 3: ")
+
+    def test_non_utf8_names_line(self, tmp_path):
+        path = tmp_path / "bin.vcf"
+        path.write_bytes(b"##fileformat=VCFv4.2\n#CHROM\nchr1\t1\t.\tA\tT\t5\tPASS\t\xff\n")
+        with pytest.raises(FormatError, match=f"{path}: line 3: not UTF-8"):
+            read_vcf(path)
+
+    @given(
+        mode=st.sampled_from(["truncate", "flip", "splice"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_vcf_parses_or_raises_format_error(self, mode, seed):
+        """Shaped like ``TestCorruptStreams``: a damaged encoding either
+        reads back as records or raises ``FormatError``, nothing else."""
+        rng = random.Random(seed)
+        buf = io.StringIO()
+        records = [
+            make_record(pos=rng.randrange(10_000), qual=rng.choice([float("nan"), 12.5]))
+            for _ in range(rng.randint(1, 6))
+        ]
+        write_vcf(buf, records, reference=[("chr1", 10_000)])
+        raw = bytearray(buf.getvalue().encode("utf-8"))
+        if mode == "truncate":
+            raw = raw[: rng.randrange(len(raw))]
+        elif mode == "flip":
+            for _ in range(rng.randint(1, 4)):
+                raw[rng.randrange(len(raw))] = rng.randrange(256)
+        else:
+            at = rng.randrange(len(raw))
+            raw[at:at] = rng.choice([b"\t", b"\n", b"\tx", b"\r\n", b"\x80"])
+        try:
+            _, back = read_vcf(io.BytesIO(bytes(raw)))
+        except FormatError:
+            return
+        assert all(isinstance(r, VcfRecord) for r in back)
