@@ -22,6 +22,11 @@ The scheme is UCSC's R-tree flattened into bins:
   whose chunks are pruned by a 16 kbp *linear index* of minimum
   offsets and coalesced into a short seek plan.
 
+:func:`build_bai` reads the ``ref_id``, ``pos``, ``ref_end``,
+``flag`` and voffset columns of :func:`repro.io.bam.walk_spans`; a
+malformed ``.bai`` is a :class:`~repro.io.errors.FormatError` naming
+the file and the byte offset.
+
 On-disk layout (all integers little-endian)::
 
     magic "BAI\\x01", n_ref:int32
@@ -44,11 +49,13 @@ the in-memory linear index.
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
-from repro.io.bam import BamReader, reg2bin, walk_records
-from repro.io.index import Chunk
+from repro.io.bam import BamReader, reg2bin
+from repro.io.errors import FormatError
+from repro.io.index import Chunk, _index_spans
 from repro.io.records import FLAG_UNMAPPED
 
 __all__ = [
@@ -90,12 +97,14 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     """Read exactly ``n`` bytes of a ``.bai`` from ``fh``.
 
     Raises:
-        ValueError: ``"truncated BAI index"`` when the file ends first,
-            so a short file never surfaces as a ``struct.error``.
+        FormatError: ``"truncated BAI index at byte N"`` when the file
+            ends first, so a short file never surfaces as a
+            ``struct.error``.
     """
+    at = fh.tell()
     data = fh.read(n)
     if len(data) != n:
-        raise ValueError("truncated BAI index")
+        raise FormatError(f"truncated BAI index at byte {at}")
     return data
 
 
@@ -103,12 +112,13 @@ def _read_count(fh: BinaryIO, noun: str) -> int:
     """Read one ``int32`` count of a ``.bai``.
 
     Raises:
-        ValueError: on truncation or a negative count, which would
+        FormatError: on truncation or a negative count, which would
             otherwise load as an empty index that plans no records.
     """
+    at = fh.tell()
     (n,) = struct.unpack("<i", _read_exact(fh, 4))
     if n < 0:
-        raise ValueError(f"negative {noun} count {n} in BAI index")
+        raise FormatError(f"negative {noun} count {n} at byte {at} of BAI index")
     return n
 
 
@@ -353,26 +363,32 @@ class BaiIndex:
         """Parse a ``.bai`` file (ours or an external tool's).
 
         Raises:
-            ValueError: if the file is not a BAI index, is truncated or
-                has a negative count.
+            FormatError: if the file is not a BAI index (see
+                :meth:`from_handle`); the message names the file.
         """
         with open(path, "rb") as fh:
-            return cls.from_handle(fh)
+            try:
+                return cls.from_handle(fh)
+            except FormatError as exc:
+                raise FormatError(f"{os.fspath(path)}: {exc}") from None
 
     @classmethod
     def from_handle(cls, fh: BinaryIO) -> "BaiIndex":
         """Parse a BAI index from an open binary handle.
 
         Raises:
-            ValueError: on bad magic, truncation or a negative count.
+            FormatError: on bad magic, truncation, a negative count or
+                an out-of-range bin id; the message names the byte
+                offset.
         """
         magic = fh.read(4)
         if magic != BAI_MAGIC:
-            raise ValueError(f"not a BAI index (magic {magic!r})")
+            raise FormatError(f"unrecognised index magic {magic!r} at byte 0: not a BAI index")
         references: List[BaiReference] = []
         for _ in range(_read_count(fh, "reference")):
             ref = BaiReference()
             for _ in range(_read_count(fh, "bin")):
+                at = fh.tell()
                 (bin_id,) = struct.unpack("<I", _read_exact(fh, 4))
                 chunks = [
                     Chunk(*struct.unpack("<QQ", _read_exact(fh, 16)))
@@ -389,7 +405,7 @@ class BaiIndex:
                         ref.mapped = chunks[1].vbegin
                         ref.unmapped = chunks[1].vend
                 elif bin_id >= MAX_BIN:
-                    raise ValueError(f"bin id {bin_id} out of range")
+                    raise FormatError(f"bin id {bin_id} at byte {at} out of range")
                 else:
                     ref.bins[bin_id] = chunks
             ref.intervals = [
@@ -472,9 +488,10 @@ class _RefAccumulator:
 def build_bai(bam_path) -> BaiIndex:
     """Walk a coordinate-sorted BAM once and build its BAI index.
 
-    One pass of :func:`repro.io.bam.walk_records`, which decodes no
-    record: each placed record contributes a chunk ``(voffset before,
-    voffset after)`` to its :func:`reg2bin` bin and lowers the
+    One pass of :func:`repro.io.bam.walk_spans`, reading the spans'
+    columns and decoding no record: each placed record contributes a
+    chunk ``(voffset before, voffset after)`` to its :func:`reg2bin`
+    bin and lowers the
     linear-index floor of every 16 kbp window its alignment touches
     (a record without CIGAR spans one base).  Records without a
     coordinate (a negative refID or position) count as ``n_no_coor``;
@@ -496,19 +513,21 @@ def build_bai(bam_path) -> BaiIndex:
         names = [name for name, _ in reader.header.references]
         accumulators = [_RefAccumulator() for _ in names]
         n_no_coor = 0
-        for ref_id, pos, end, flag, vbegin, vend in walk_records(reader):
-            if ref_id < 0 or pos < 0:
-                n_no_coor += 1
-                continue
-            end = max(end, pos + 1)
-            accumulators[ref_id].add(
-                reg2bin(pos, end),
-                vbegin,
-                vend,
-                pos,
-                end,
-                mapped=not flag & FLAG_UNMAPPED,
-            )
+        for span in _index_spans(reader):
+            columns = (span.ref_id, span.pos, span.ref_end, span.flag, span.vbegin, span.vend)
+            for ref_id, pos, end, flag, vbegin, vend in zip(*(c.tolist() for c in columns)):
+                if ref_id < 0 or pos < 0:
+                    n_no_coor += 1
+                    continue
+                end = max(end, pos + 1)
+                accumulators[ref_id].add(
+                    reg2bin(pos, end),
+                    vbegin,
+                    vend,
+                    pos,
+                    end,
+                    mapped=not flag & FLAG_UNMAPPED,
+                )
     return BaiIndex(
         [acc.finish() for acc in accumulators],
         n_no_coor=n_no_coor,

@@ -12,13 +12,13 @@ Implements the BAM v1 encoding from the SAM specification:
 Records round-trip exactly: ``decode(encode(r)) == r`` for every field
 the model carries, which the test suite checks property-style.
 
-Every record scan shares one fixed-field walk (:func:`walk_bodies`):
-the index builders read only the core and CIGAR (:func:`walk_records`),
-:meth:`BamReader.read_record` builds an :class:`AlignedRead`, and the
-batched engine decodes whole runs of records with numpy gathers
-(:class:`RecordSpan`).  A record that does not decode is a
+Every record scan but :meth:`BamReader.read_record` shares one walk
+(:func:`walk_spans`): a BGZF block's records at a time as a
+:class:`RecordSpan`, whose named numpy columns the index builders,
+the seek-plan walk and the batched engine's gathers read, so no other
+module knows the core's layout.  A record that does not decode is a
 :class:`~repro.io.errors.FormatError` naming its virtual offset, the
-same in all three.
+same on every path.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.io.cigar import (
     CONSUMES_REFERENCE,
     invalid_cigars,
     op_table,
-    packed_reference_length,
     unpack_cigar,
 )
 from repro.io.errors import FormatError
@@ -62,8 +61,7 @@ __all__ = [
     "decode_record",
     "decode_record_at",
     "reg2bin",
-    "walk_bodies",
-    "walk_records",
+    "walk_spans",
 ]
 
 PathOrFile = Union[str, os.PathLike, BinaryIO]
@@ -446,7 +444,7 @@ def decode_record(body: bytes, header: SamHeader) -> AlignedRead:
 
     Raises:
         FormatError: if the body does not decode: a length or range
-            field disagrees with its size (see :func:`walk_bodies`),
+            field disagrees with its size (see :func:`_fixed_fields`),
             the read name is not ASCII, a CIGAR op code is above 8 or
             the CIGAR breaks a SAM rule (zero-length operation,
             misplaced clip, query length other than ``l_seq``), or
@@ -622,18 +620,22 @@ class BamReader:
 
     def __init__(self, source: PathOrFile, cache_blocks: int = 1) -> None:
         self._bgzf = BgzfReader(source, cache_blocks=cache_blocks)
-        magic = self._header_bytes(4, "magic")
-        if magic != BAM_MAGIC:
-            raise FormatError(f"not a BAM file (magic {magic!r})")
-        l_text = self._header_int("l_text")
-        text = self._header_text(l_text, "text")
-        n_ref = self._header_int("n_ref")
-        refs: List[Tuple[str, int]] = []
-        for i in range(n_ref):
-            l_name = self._header_int(f"l_name of reference {i}")
-            name = self._header_text(l_name, f"name of reference {i}")
-            l_ref = self._header_int(f"l_ref of reference {i}")
-            refs.append((name[:-1], l_ref))
+        try:
+            magic = self._header_bytes(4, "magic")
+            if magic != BAM_MAGIC:
+                raise FormatError(f"not a BAM file (magic {magic!r})")
+            l_text = self._header_int("l_text")
+            text = self._header_text(l_text, "text")
+            n_ref = self._header_int("n_ref")
+            refs: List[Tuple[str, int]] = []
+            for i in range(n_ref):
+                l_name = self._header_int(f"l_name of reference {i}")
+                name = self._header_text(l_name, f"name of reference {i}")
+                l_ref = self._header_int(f"l_ref of reference {i}")
+                refs.append((name[:-1], l_ref))
+        except BaseException:
+            self._bgzf.close()  # closes the file only if it opened it
+            raise
         self.header = SamHeader.from_text(text)
         if not self.header.references:
             self.header.references = refs
@@ -720,117 +722,6 @@ class BamReader:
         self.close()
 
 
-def walk_bodies(
-    reader: BamReader,
-) -> Iterator[Tuple[int, int, bytes, Tuple[int, ...]]]:
-    """The fixed-field walk every record scan shares.
-
-    From the reader's current position, yields one ``(vbegin, vend,
-    body, core)`` per record: ``[vbegin, vend)`` are the record's
-    virtual offsets, ``body`` its bytes after ``block_size`` and
-    ``core`` the 11 unpacked fields of its 32-byte core.  Every length
-    and range field has been checked against ``block_size`` (see
-    :func:`_fixed_fields`), so slices and gathers by those fields stay
-    inside the record; nothing past the core is parsed.
-
-    A record lying wholly inside the current BGZF block is sliced
-    straight out of the block's decompressed bytes (the reader's
-    position kept in step); only one straddling a block boundary goes
-    through :meth:`~repro.io.bgzf.BgzfReader.read`.
-
-    Raises:
-        FormatError: if a record is cut short, its ``block_size`` is
-            below the 32-byte core, its read name and CIGAR or its
-            sequence and qualities run past ``block_size``, or its
-            refID or next refID lies outside ``[-1, n_ref)``.  The
-            message names the record's virtual offset.
-    """
-    bgzf = reader._bgzf
-    n_ref = len(reader.header.references)
-    size_at = _INT32.unpack_from
-    while True:
-        data = bgzf._block_data
-        w = bgzf._within
-        top = len(data)
-        base = bgzf._block_start << 16
-        while w + 4 <= top:
-            (block_size,) = size_at(data, w)
-            end = w + 4 + block_size
-            if block_size < _CORE.size or end > top:
-                break  # malformed or straddling: the general path
-            body = data[w + 4 : end]
-            try:
-                core = _fixed_fields(body, n_ref)
-            except FormatError as exc:
-                raise _at(base | w, exc) from None
-            bgzf._within = end
-            vend = base | end if end < top else bgzf.tell()
-            yield base | w, vend, body, core
-            w = end
-        vbegin = bgzf.tell()
-        body = _read_body(bgzf, vbegin)
-        if body is None:
-            return
-        try:
-            core = _fixed_fields(body, n_ref)
-        except FormatError as exc:
-            raise _at(vbegin, exc) from None
-        yield vbegin, bgzf.tell(), body, core
-
-
-def walk_records(
-    reader: BamReader,
-) -> Iterator[Tuple[int, int, int, int, int, int]]:
-    """Walk a BAM's records by their fixed fields, for the index builders.
-
-    From the reader's current position, yields one
-    ``(ref_id, pos, end, flag, vbegin, vend)`` per record: ``end`` is
-    ``pos`` plus the CIGAR's reference span and ``[vbegin, vend)`` are
-    the record's virtual offsets.  The read name, sequence, qualities
-    and tags are skipped unparsed, so no :class:`AlignedRead` is built.
-
-    Placed records (``ref_id >= 0`` and ``pos >= 0``) must come in
-    coordinate order: contigs in header order, positions
-    non-decreasing within each.  Unplaced records are yielded
-    unchecked.
-
-    Raises:
-        FormatError: if a record is malformed (see :func:`walk_bodies`)
-            or has a CIGAR op code above 8, the message naming its
-            virtual offset; or if the BAM is not coordinate-sorted.
-    """
-    references = reader.header.references
-    last_ref = -1
-    last_pos = -1
-    for vbegin, vend, body, core in walk_bodies(reader):
-        ref_id, pos, l_read_name, _mapq, _bin, n_cigar, flag = core[:7]
-        off = _CORE.size + l_read_name
-        try:
-            span = packed_reference_length(
-                struct.unpack_from(f"<{n_cigar}I", body, off)
-            )
-        except ValueError as exc:
-            raise _at(vbegin, FormatError(str(exc))) from None
-        if ref_id >= 0 and pos >= 0:
-            if ref_id < last_ref:
-                raise FormatError(
-                    "cannot index an unsorted BAM (contig "
-                    f"{references[ref_id][0]!r} appears after a later "
-                    "header contig)"
-                )
-            if ref_id > last_ref:
-                last_ref = ref_id
-                last_pos = -1
-            if pos < last_pos:
-                qname = body[_CORE.size : off - 1].decode("ascii", "replace")
-                raise FormatError(
-                    "cannot index an unsorted BAM "
-                    f"({qname} at {pos} after {last_pos})"
-                )
-            last_pos = pos
-        yield ref_id, pos, pos + span, flag, vbegin, vend
-
-
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Exclusive running sum: where each of ``counts``' runs begins."""
     out = np.zeros(counts.size, dtype=np.int64)
@@ -885,22 +776,31 @@ class RecordSpan:
     all-``0xff`` ("unavailable") strings reading as zeros, exactly as
     :func:`decode_record` gives them.
 
-    This is the batched engine's BAM path (bamnostic-style: straight
-    from the decompressed bytes).  :meth:`check` keeps its rejections
-    those of :func:`decode_record`.
+    This is every record scan's view (bamnostic-style: straight from
+    the decompressed bytes).  :meth:`suspects` flags what
+    :func:`decode_record` rejects.
 
     Args:
         bodies: record bodies (without ``block_size``) in file order,
-            each past :func:`walk_bodies`' fixed-field checks.
+            each past :func:`_fixed_fields`' checks (see
+            :func:`walk_spans`).
+        vbegin, vend: the records' virtual offsets, when read from a
+            file.
     """
 
-    def __init__(self, bodies: Sequence[bytes]) -> None:
+    def __init__(
+        self, bodies: Sequence[bytes], vbegin: Sequence[int] = (), vend: Sequence[int] = ()
+    ) -> None:
         n = len(bodies)
         self.bodies = bodies
+        self.vbegin = np.asarray(vbegin, dtype=np.int64)
+        self.vend = np.asarray(vend, dtype=np.int64)
         sizes = np.fromiter(map(len, bodies), dtype=np.int64, count=n)
         begin = _starts(sizes)
         self.buf = np.frombuffer(b"".join(bodies), dtype=np.uint8)
         core = _rows(self.buf, begin, _CORE.size).view(_CORE_DTYPE).reshape(n)
+        self.ref_id = core["ref_id"].astype(np.int64)
+        self.next_ref_id = core["next_ref_id"].astype(np.int64)
         self.pos = core["pos"].astype(np.int64)
         self.flag = core["flag"].astype(np.int64)
         self.mapq = core["mapq"].copy()
@@ -918,6 +818,9 @@ class RecordSpan:
         word_at = np.repeat(
             self.cigar_off - 4 * self.op_first, self.n_cigar
         ) + 4 * np.arange(int(self.n_cigar.sum()), dtype=np.int64)
+        # Clamped: walk_spans reads the columns of records that fail the
+        # fixed-field checks, whose CIGAR may run past the buffer.
+        np.minimum(word_at, self.buf.size - 4, out=word_at)
         words = _rows(self.buf, word_at, 4).view("<u4").reshape(word_at.size)
         self.ops = (words & 0xF).astype(np.int64)
         self.lens = (words >> 4).astype(np.int64)
@@ -934,6 +837,14 @@ class RecordSpan:
         self.ungapped[single] = _MATCH_OPS[self.ops[only]] & (
             self.lens[only] == self.l_seq[single]
         )
+
+    def __len__(self) -> int:
+        return len(self.bodies)
+
+    def name(self, j: int) -> str:
+        """Record ``j``'s read name (non-ASCII bytes replaced)."""
+        raw = self.buf[self.name_off[j] : self.cigar_off[j] - 1].tobytes()
+        return raw.decode("ascii", "replace")
 
     def suspects(self, first: int = 0) -> np.ndarray:
         """Indices, from record ``first`` on, of the records
@@ -952,16 +863,6 @@ class RecordSpan:
         bad[np.repeat(np.arange(name_off.size), name_len)[name_bytes >= 0x80]] = True
         bad |= _bad_tag_areas(self.buf, self.tag_off[tail], self.end[tail])
         return first + np.flatnonzero(bad)
-
-    def check(
-        self, header: SamHeader, vbegins: Sequence[int], first: int = 0
-    ) -> None:
-        """Raise, for the first record from ``first`` on that
-        :func:`decode_record` rejects, the error
-        :meth:`BamReader.read_record` raises for it (``vbegins`` are
-        the virtual offsets of records ``first``, ``first + 1``, ...)."""
-        for j in self.suspects(first):
-            decode_record_at(self.bodies[j], header, vbegins[j - first])
 
     def bases(
         self, rows: np.ndarray, length: int, table: np.ndarray
@@ -1050,6 +951,70 @@ class RecordSpan:
             bounds = bounds[:-1]  # the last run reduces to the end
         out[seq] = np.minimum.reduceat(self.buf, bounds)[0::2] == 0xFF
         return out
+
+
+def walk_spans(reader: BamReader) -> Iterator[RecordSpan]:
+    """The record walk every scan shares: from the reader's current
+    position, the records a BGZF block at a time as
+    :class:`RecordSpan` values, each holding the record straddling in
+    from the previous block (if any), then every record lying wholly
+    inside the block, sliced straight out of its decompressed bytes.
+    ``vbegin[j]``/``vend[j]`` are :meth:`BamReader.tell` before and
+    after :meth:`BamReader.read_record` of record ``j``.
+
+    Every length and range field is checked on the span's columns by
+    :func:`_fixed_fields`' rules, so slices and gathers by them stay
+    inside the record.  The first record that fails raises after the
+    records before it were yielded: a scan that stops first never
+    sees the error.
+
+    Raises:
+        FormatError: if a record is cut short or fails
+            :func:`_fixed_fields`; the message names its virtual
+            offset.
+    """
+    bgzf = reader._bgzf
+    n_ref = len(reader.header.references)
+    size_at = _INT32.unpack_from
+    bodies, vbegin, vend = [], [], []
+    while True:
+        data, w = bgzf._block_data, bgzf._within
+        top, base = len(data), bgzf._block_start << 16
+        while w + 4 <= top:
+            (block_size,) = size_at(data, w)
+            end = w + 4 + block_size
+            if block_size < _CORE.size or end > top:
+                break  # straddling or malformed: the general path
+            bodies.append(data[w + 4 : end])
+            vbegin.append(base | w)
+            vend.append(base | end)
+            w = end
+        if bodies:
+            bgzf._within = w
+            if w == top:
+                vend[-1] = bgzf.tell()  # the next block's start
+            span = RecordSpan(bodies, vbegin, vend)
+            # tag_off >= seq_off when l_seq >= 0: name and CIGAR overruns too
+            bad = (span.l_seq < 0) | (span.tag_off > span.end)
+            for ref_ids in (span.ref_id, span.next_ref_id):
+                bad |= (ref_ids < -1) | (ref_ids >= n_ref)
+            if bad.any():
+                j = int(bad.argmax())
+                if j:
+                    yield RecordSpan(bodies[:j], vbegin[:j], vend[:j])
+                try:
+                    _fixed_fields(bodies[j], n_ref)
+                except FormatError as exc:
+                    raise _at(vbegin[j], exc) from None
+            yield span
+            bodies, vbegin, vend = [], [], []
+        at = bgzf.tell()
+        body = _read_body(bgzf, at)
+        if body is None:
+            return
+        bodies.append(body)
+        vbegin.append(at)
+        vend.append(bgzf.tell())
 
 
 def write_bam(

@@ -319,7 +319,11 @@ class BgzfReader:
         self.cache_hits = 0
         #: block loads that inflated
         self.cache_misses = 0
-        self._load_block(0)
+        try:
+            self._load_block(0)
+        except BaseException:
+            self.close()  # closes the file only if it opened it
+            raise
 
     # -- cache instrumentation ---------------------------------------------
 

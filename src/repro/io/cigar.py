@@ -40,7 +40,6 @@ __all__ = [
     "clip_lengths",
     "validate_cigar",
     "unpack_cigar",
-    "packed_reference_length",
     "invalid_cigars",
     "op_table",
 ]
@@ -91,10 +90,6 @@ CONSUMES_REFERENCE = frozenset(
 )
 
 Cigar = List[Tuple[CigarOp, int]]
-
-#: Bit ``op`` is set for each operation that consumes reference.
-_REF_MASK = sum(1 << int(op) for op in CONSUMES_REFERENCE)
-
 
 def op_table(ops: Iterable[CigarOp]) -> np.ndarray:
     """16-entry lookup over BAM's 4-bit op field: True for the codes
@@ -255,23 +250,6 @@ def unpack_cigar(words: Iterable[int]) -> Cigar:
             raise ValueError(f"CIGAR op code {op}")
         out.append((CigarOp(op), word >> 4))
     return out
-
-
-def packed_reference_length(words: Iterable[int]) -> int:
-    """:func:`reference_length` of packed CIGAR words, building no
-    pairs (the index builders' per-record walk).
-
-    Raises:
-        ValueError: if an op code is above 8, as :func:`unpack_cigar`.
-    """
-    span = 0
-    for word in words:
-        op = word & 0xF
-        if op > CigarOp.X:
-            raise ValueError(f"CIGAR op code {op}")
-        if _REF_MASK >> op & 1:
-            span += word >> 4
-    return span
 
 
 def invalid_cigars(

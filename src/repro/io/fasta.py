@@ -41,7 +41,10 @@ class FastaRecord:
 def _open_text(source: PathOrFile, mode: str) -> tuple[TextIO, bool]:
     if hasattr(source, "read") or hasattr(source, "write"):
         return source, False  # type: ignore[return-value]
-    return open(source, mode), True
+    # UTF-8 whatever the locale.  Undecodable bytes read as lone
+    # surrogates, which no valid UTF-8 decodes to, so a reader can name
+    # their line.
+    return open(source, mode, encoding="utf-8", errors="surrogateescape"), True
 
 
 def _records(source: PathOrFile, unique: bool) -> Iterator[FastaRecord]:
@@ -55,6 +58,14 @@ def _records(source: PathOrFile, unique: bool) -> Iterator[FastaRecord]:
         desc = ""
         chunks: List[str] = []
         for lineno, raw in enumerate(handle, 1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(raw[exc.start]) & 0xFF
+                    raise FormatError(
+                        f"{where}line {lineno}: not UTF-8 text (byte 0x{byte:02x})"
+                    ) from None
             line = raw.strip()
             if not line:
                 continue
@@ -88,7 +99,8 @@ def read_fasta(source: PathOrFile) -> Iterator[FastaRecord]:
     """Iterate :class:`FastaRecord` objects from a path or text handle.
 
     Raises:
-        FormatError: if sequence data precedes the first ``>`` defline.
+        FormatError: if sequence data precedes the first ``>`` defline,
+            or a file opened by path is not UTF-8.
     """
     return _records(source, unique=False)
 
@@ -117,6 +129,7 @@ def load_reference(source: PathOrFile) -> Dict[str, str]:
 
     Raises:
         FormatError: on sequence data before the first ``>`` defline,
-            or a record name used twice.
+            a record name used twice, or a file opened by path that is
+            not UTF-8.
     """
     return {rec.name: rec.sequence for rec in _records(source, unique=True)}

@@ -14,8 +14,8 @@ question -- *which file ranges can hold records overlapping*
 :class:`~repro.pipeline.sources.BamSource` consumes either uniformly;
 equivalence tests pin the two to byte-identical calls.
 
-Both builders walk the BAM once with
-:func:`repro.io.bam.walk_records` and decode no record:
+Both builders walk the BAM once with :func:`repro.io.bam.walk_spans`,
+reading the spans' columns and decoding no record:
 :func:`build_linear_index` (the default planner) and
 :func:`build_bai_index`.  BAI is the only on-disk format;
 :func:`load_index` reads a ``.bai`` sidecar.
@@ -37,7 +37,10 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.io.bam import BamReader, walk_records
+import numpy as np
+
+from repro.io.bam import BamReader, RecordSpan, walk_spans
+from repro.io.errors import FormatError
 from repro.io.records import FLAG_UNMAPPED
 
 __all__ = [
@@ -179,6 +182,41 @@ class MultiContigIndex(Mapping):
         return [Chunk(table.query(start), MAX_VOFFSET)]
 
 
+def _index_spans(reader: BamReader) -> Iterator[RecordSpan]:
+    """:func:`~repro.io.bam.walk_spans`, raising
+    :class:`~repro.io.errors.FormatError` at the first record, in file
+    order, that is malformed, has a CIGAR op code above 8 (naming its
+    virtual offset) or breaks the coordinate order of placed records
+    (``ref_id >= 0`` and ``pos >= 0``)."""
+    references = reader.header.references
+    last = -1  # (ref_id << 32) | pos of the last placed record
+    for span in walk_spans(reader):
+        bad_op = np.flatnonzero(span.ops > 8)
+        bad_at = np.repeat(np.arange(len(span)), span.n_cigar)[bad_op[:1]]
+        placed = np.flatnonzero((span.ref_id >= 0) & (span.pos >= 0))
+        key = np.concatenate(([last], (span.ref_id[placed] << 32) | span.pos[placed]))
+        drop = np.flatnonzero(key[1:] < key[:-1])[:1]
+        if bad_at.size and not (drop.size and placed[drop[0]] < bad_at[0]):
+            raise FormatError(
+                f"BAM record at voffset {span.vbegin[bad_at[0]]}: "
+                f"CIGAR op code {span.ops[bad_op[0]]}"
+            )
+        if drop.size:
+            (k,) = drop
+            ref, pos = divmod(int(key[k + 1]), 1 << 32)
+            if ref < key[k] >> 32:
+                raise FormatError(
+                    f"cannot index an unsorted BAM (contig {references[ref][0]!r} "
+                    "appears after a later header contig)"
+                )
+            raise FormatError(
+                f"cannot index an unsorted BAM ({span.name(placed[k])} at {pos} "
+                f"after {key[k] & 0xFFFFFFFF})"
+            )
+        last = int(key[-1])
+        yield span
+
+
 def build_linear_index(bam_path, granularity: int = 256) -> MultiContigIndex:
     """Walk a BAM once and build the per-contig linear multi-index.
 
@@ -197,9 +235,9 @@ def build_linear_index(bam_path, granularity: int = 256) -> MultiContigIndex:
         granularity: records per checkpoint (positive).
 
     Raises:
-        ValueError: if ``granularity`` is not positive, the BAM is not
-            coordinate-sorted or a record is malformed (see
-            :func:`repro.io.bam.walk_records`).
+        ValueError: if ``granularity`` is not positive.
+        FormatError: if the BAM is not coordinate-sorted or a record is
+            malformed (see :func:`repro.io.bam.walk_spans`).
     """
     if granularity <= 0:
         raise ValueError(f"granularity must be positive, got {granularity}")
@@ -207,18 +245,20 @@ def build_linear_index(bam_path, granularity: int = 256) -> MultiContigIndex:
     with BamReader(bam_path) as reader:
         names = [name for name, _ in reader.header.references]
         last_ref = -1
-        for ref_id, pos, end, flag, vbegin, _vend in walk_records(reader):
-            if ref_id < 0 or pos < 0 or flag & FLAG_UNMAPPED:
-                continue
-            if ref_id != last_ref:
-                last_ref = ref_id
-                table = tables[names[ref_id]] = LinearIndex([], 1, vbegin)
-                n_records = 0
-            if end - pos > table.max_read_span:
-                table.max_read_span = end - pos
-            if n_records % granularity == 0:
-                table.checkpoints.append((pos, vbegin))
-            n_records += 1
+        for span in _index_spans(reader):
+            placed = (span.ref_id >= 0) & (span.pos >= 0)
+            mapped = np.flatnonzero(placed & (span.flag & FLAG_UNMAPPED == 0))
+            columns = (span.ref_id, span.pos, span.ref_end, span.vbegin)
+            for ref_id, pos, end, vbegin in zip(*(c[mapped].tolist() for c in columns)):
+                if ref_id != last_ref:
+                    last_ref = ref_id
+                    table = tables[names[ref_id]] = LinearIndex([], 1, vbegin)
+                    n_records = 0
+                if end - pos > table.max_read_span:
+                    table.max_read_span = end - pos
+                if n_records % granularity == 0:
+                    table.checkpoints.append((pos, vbegin))
+                n_records += 1
     return MultiContigIndex(tables)
 
 
@@ -231,7 +271,7 @@ def build_bai_index(bam_path):
 
     Raises:
         FormatError: if the BAM is not coordinate-sorted or a record is
-            malformed (see :func:`repro.io.bam.walk_records`).
+            malformed (see :func:`repro.io.bam.walk_spans`).
     """
     from repro.io.bai import build_bai
 
@@ -251,15 +291,11 @@ def load_index(path, names: Optional[Sequence[str]] = None):
         A :class:`~repro.io.bai.BaiIndex`.
 
     Raises:
-        ValueError: on an unrecognised magic or a truncated or corrupt
-            file.
+        FormatError: on an unrecognised magic or a truncated or corrupt
+            file; the message names the file and the byte offset.
     """
-    from repro.io.bai import BAI_MAGIC, BaiIndex
+    from repro.io.bai import BaiIndex
 
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic != BAI_MAGIC:
-        raise ValueError(f"unrecognised index magic {magic!r} in {path}")
     index = BaiIndex.load(path)
     if names is not None:
         index.attach_names(names)

@@ -31,10 +31,10 @@ Three producers feed them:
   which cuts a coordinate-sorted stream into windows of
   :data:`~repro.pileup.column.BATCH_COLUMNS` columns unless told
   otherwise and deposits each through
-  :func:`pileup_batch_from_records`: raw BAM records from
-  :meth:`repro.pipeline.BamSource.batches_for` (the batched engine's
-  BAM path), or :class:`~repro.io.records.AlignedRead` values
-  encoded as records (:func:`iter_pileup_batches`,
+  :func:`pileup_batch_from_records`: spans of raw BAM records, already
+  checked, from :meth:`repro.pipeline.BamSource.batches_for` (the
+  batched engine's BAM path), or :class:`~repro.io.records.AlignedRead`
+  values encoded as records (:func:`iter_pileup_batches`,
   :func:`pileup_batch_from_reads`).
 
 Both kernels defer the strand/mapq planes (the screen reads only codes
@@ -86,12 +86,6 @@ __all__ = [
 _NIBBLE_CODES = SEQ_CODE_LUT[
     np.frombuffer(SEQ_NIBBLES.encode("ascii"), dtype=np.uint8)
 ]
-
-#: Records :meth:`ColumnBatchBuilder.add_record` takes between decode
-#: checks while no kept read is pending (a scan crossing other
-#: contigs), bounding what they hold.
-_CHECK_RECORDS = 4096
-
 
 def _ref_bases_at(reference: str, positions: np.ndarray) -> str:
     """Uppercase reference characters at sorted ``positions`` (one
@@ -454,7 +448,7 @@ def pileup_batch_from_records(
     Args:
         span: the decoded records, each one
             :func:`repro.io.bam.decode_record` accepts (see
-            :meth:`~repro.io.bam.RecordSpan.check`).
+            :meth:`~repro.io.bam.RecordSpan.suspects`).
         rows: the window's candidate reads, as indices into ``span``
             in file order: mapped reads on ``window.chrom`` with
             non-decreasing positions.
@@ -505,31 +499,26 @@ class ColumnBatchBuilder:
     """Incremental, bounded-memory columnar pileup construction, and
     the one owner of the window rule.
 
-    A coordinate-sorted stream arrives one alignment at a time, either
-    as raw BAM records (:meth:`add_record`, the batched engine's BAM
-    path :meth:`repro.pipeline.BamSource.batches_for`) or as
-    :class:`~repro.io.records.AlignedRead` values (:meth:`add_read`,
+    A coordinate-sorted stream arrives either as spans of raw BAM
+    records (:meth:`add_span`, the batched engine's BAM path
+    :meth:`repro.pipeline.BamSource.batches_for`) or one
+    :class:`~repro.io.records.AlignedRead` at a time (:meth:`add_read`,
     each kept read encoded as a BAM record body); feed one builder one
     kind.  A *kept read* is a mapped read on ``region.chrom`` starting
-    before ``region.end``.  All columns left of the newest kept read's
-    start are complete, so once a kept read starts ``batch_columns``
-    positions past the last cut, the window closes at its position:
-    the records added since the cut and the reads carried over from
-    the last window become one :class:`~repro.io.bam.RecordSpan`, which
-    serves both the decode check and :func:`pileup_batch_from_records`,
-    and the batch leaves sliced zero-copy into work units of at most
-    ``batch_columns`` columns (strand/mapq planes still lazy).  Reads
-    reaching past the cut carry into the next window.
+    before ``region.end``, and the builder holds kept reads only.  All
+    columns left of the newest kept read's start are complete, so once
+    a kept read starts ``batch_columns`` positions past the last cut,
+    the window closes at its position: the kept reads since the cut
+    and the reads carried over from the last window become one
+    :class:`~repro.io.bam.RecordSpan` for
+    :func:`pileup_batch_from_records`, and the batch leaves sliced
+    zero-copy into work units of at most ``batch_columns`` columns
+    (strand/mapq planes still lazy).  Reads reaching past the cut
+    carry into the next window.
 
-    Every record :meth:`add_record` took is checked
-    (:meth:`~repro.io.bam.RecordSpan.check`) before anything that
-    follows it becomes visible -- a batch, the coordinate-sort error,
-    the end of the stream -- so a malformed record raises the same
-    :class:`~repro.io.errors.FormatError` at the same point as the
-    streaming engine's per-record decode.  While no kept read is
-    pending, the records are checked and dropped every
-    :data:`_CHECK_RECORDS`.  :meth:`add_read`'s bodies were just
-    encoded and are not checked.
+    The builder checks no record: :meth:`add_span`'s were checked
+    where the seek-plan walk read them, and :meth:`add_read`'s bodies
+    were just encoded.
 
     Peak construction memory is therefore bounded by the records of
     one window (roughly ``batch_columns`` x depth bases, plus one read
@@ -594,38 +583,34 @@ class ColumnBatchBuilder:
         self._ref_id = self._header.reference_id(region.chrom)
         if self._ref_id < 0:
             raise ValueError(f"contig {region.chrom!r} is not in the BAM header")
-        self._carry: List[bytes] = []  # checked reads reaching past the last cut
-        self._seen: List[bytes] = []  # the records added since the last cut
-        self._seen_at: List[int] = []  # voffsets of _seen's unchecked tail
-        self._kept: List[int] = []  # the window's reads, as indices into _seen
+        self._carry: List[bytes] = []  # reads reaching past the last cut
+        self._pending: List[bytes] = []  # the kept reads since the last cut
         self._flush_from = region.start
         self._last_pos = -1
         self._finished = False
 
-    def add_record(self, vbegin: int, body: bytes, core: Tuple[int, ...]) -> List[ColumnBatch]:
-        """Take one raw BAM record at virtual offset ``vbegin``, as
-        :func:`repro.io.bam.walk_bodies` yields it; return any batches
-        it completed.
-
-        Raises:
-            FormatError: if a record taken so far does not decode, or
-                the input violates coordinate sorting.
-        """
-        self._seen.append(body)
-        self._seen_at.append(vbegin)
-        pos = core[1]
-        if core[0] != self._ref_id or core[6] & FLAG_UNMAPPED or pos >= self.region.end:
-            if not self._kept and len(self._seen) >= _CHECK_RECORDS:
-                self.check()
-                self._seen = []
-            return []
-        if pos < self._last_pos:
-            self._unsorted(body[32 : 31 + core[2]].decode("ascii"), pos)
-        self._last_pos = pos
-        # Kept before the cut, so the window's span checks it; it
-        # starts at the cut, deposits nothing there and carries over.
-        self._kept.append(len(self._seen) - 1)
-        return self._cut(pos)
+    def add_span(self, span: RecordSpan, n: int) -> List[ColumnBatch]:
+        """Take the first ``n`` records of ``span``, as the seek-plan
+        walk reads and checks them; return any batches they completed.
+        The kept reads are one mask, the cuts among them one
+        ``searchsorted`` per window."""
+        on = (span.ref_id[:n] == self._ref_id) & (span.flag[:n] & FLAG_UNMAPPED == 0)
+        kept = np.flatnonzero(on & (span.pos[:n] < self.region.end))
+        pos = span.pos[kept]
+        bodies, rows = span.bodies, kept.tolist()
+        batches: List[ColumnBatch] = []
+        i = 0
+        while True:
+            k = int(np.searchsorted(pos, self._flush_from + self.batch_columns))
+            if k == len(rows):
+                break
+            # The read at the cut joins the window it closes: it
+            # deposits nothing there and carries over.
+            self._pending += [bodies[j] for j in rows[i : k + 1]]
+            batches += self._flush(int(pos[k]))
+            i = k + 1
+        self._pending += [bodies[j] for j in rows[i:]]
+        return batches
 
     def add_read(self, read: AlignedRead) -> List[ColumnBatch]:
         """Deposit one alignment; return any batches it completed.
@@ -645,15 +630,19 @@ class ColumnBatchBuilder:
         if read.rname != self.region.chrom or read.is_unmapped:
             return []
         if read.pos < self._last_pos:
-            self._unsorted(read.qname, read.pos)
+            raise FormatError(
+                f"reads are not coordinate-sorted: {read.qname} at {read.pos} "
+                f"after {self._last_pos}"
+            )
         self._last_pos = read.pos
         if read.pos >= self.region.end:
             self.done = True
             return []
         if read.reference_end > self.region.start and self.config.read_passes(read):
-            self._seen.append(encode_record(read, self._header))
-            self._kept.append(len(self._seen) - 1)
-        return self._cut(read.pos)
+            self._pending.append(encode_record(read, self._header))
+        if read.pos - self._flush_from >= self.batch_columns:  # the window rule
+            return self._flush(read.pos)
+        return []
 
     def finish(self) -> List[ColumnBatch]:
         """Flush the last window and seal the builder.
@@ -666,47 +655,20 @@ class ColumnBatchBuilder:
         self._finished = True
         return self._flush(self.region.end)
 
-    def check(self, span: Optional[RecordSpan] = None) -> None:
-        """Raise the first decode error among the records
-        :meth:`add_record` took since the last check (``span``, when
-        given, ends with them)."""
-        if self._seen_at:
-            span = RecordSpan(self._seen) if span is None else span
-            span.check(self._header, self._seen_at, len(span.bodies) - len(self._seen_at))
-            self._seen_at = []
-
-    def _unsorted(self, qname: str, pos: int) -> None:
-        """Raise the coordinate-sort error for a read at ``pos``, after
-        the decode error of any record before it."""
-        self.check()
-        raise FormatError(
-            f"reads are not coordinate-sorted: {qname} at {pos} after {self._last_pos}"
-        )
-
-    def _cut(self, pos: int) -> List[ColumnBatch]:
-        """The window rule: a kept read starting ``batch_columns``
-        positions past the last cut closes the window at ``pos``."""
-        if pos - self._flush_from >= self.batch_columns:
-            return self._flush(pos)
-        return []
-
     def _flush(self, end: int) -> List[ColumnBatch]:
         """Deposit the window ``[last cut, end)`` from one span over the
-        carry and the records added since the cut, checked first; carry
-        the reads reaching past ``end``."""
-        carry, seen = self._carry, self._seen
+        carry and the kept reads since the cut; carry the reads
+        reaching past ``end``."""
         window = Region(self.region.chrom, self._flush_from, end)
         self._flush_from = end
-        if not carry and not seen:
+        if not self._carry and not self._pending:
             return []
-        span = RecordSpan(carry + seen)
-        self.check(span)
-        rows = np.concatenate([np.arange(len(carry)), np.add(self._kept, len(carry))])
+        span = RecordSpan(self._carry + self._pending)
+        self._pending = []
         batch, rest = pileup_batch_from_records(
-            span, rows.astype(np.int64), self.reference, window, self.config
+            span, np.arange(len(span)), self.reference, window, self.config
         )
         self._carry = [span.bodies[j] for j in rest]
-        self._seen, self._kept = [], []
         return batch.split(self.batch_columns)
 
 

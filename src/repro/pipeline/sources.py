@@ -20,7 +20,8 @@ in each engine's own unit type:
 Both are lazy where the substrate permits (:class:`BamSource` streams
 one window or one column per pull), so the execution layer is free to
 re-chunk regions for scheduling.  Every batch stream windows at
-``batch_columns`` positions: :class:`BamSource` (raw records) and
+``batch_columns`` positions: :class:`BamSource` (spans of raw records,
+checked where its seek-plan walk reads them) and
 :class:`ReadsSource` (reads) feed a
 :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, the one owner
 of the window rule, and :class:`SampleSource` tiles its chunk, whose
@@ -56,9 +57,11 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as np
+
 from repro.core.results import IO_COUNTERS, RunStats
 from repro.io.errors import FormatError
-from repro.io.records import AlignedRead
+from repro.io.records import FLAG_UNMAPPED, AlignedRead
 from repro.io.regions import Region
 from repro.parallel.partition import chunk_region
 from repro.parallel.trace import Category, Tracer
@@ -81,12 +84,6 @@ __all__ = [
 #: a mapping ``{contig name: sequence}`` (``load_reference`` output or
 #: ``FastaRecord`` values both work).
 ReferenceLike = Union[str, Mapping[str, object]]
-
-#: Where a record read by a :class:`BamSource` seek plan sits relative
-#: to the chunk: on its contig before its end, on an earlier contig, or
-#: where the scan stops.
-_KEEP, _SKIP, _STOP = range(3)
-
 
 @runtime_checkable
 class ColumnSource(Protocol):
@@ -480,12 +477,12 @@ class BamSource:
 
     def _plan_records(self, reader, chunk: Region, plan):
         """Every record ``chunk``'s seek plan reads, in file order, as
-        ``(where, vbegin, body, core)`` from
-        :func:`repro.io.bam.walk_bodies`: ``where`` is :data:`_KEEP`
-        for a record on the chunk's contig before ``chunk.end``,
-        :data:`_SKIP` for one on an earlier contig, and :data:`_STOP`
-        for the record that ends the scan (a later contig, an unplaced
-        record, or one at or past ``chunk.end``), which comes last.
+        ``(span, n)``: the first ``n`` records of each
+        :class:`~repro.io.bam.RecordSpan` from
+        :func:`repro.io.bam.walk_spans`.  The scan stops at the first
+        record on a later contig, unplaced, or on the chunk's contig at
+        or past ``chunk.end``, which is read last; both consumers skip
+        the records off the chunk.
 
         The rewind plan streams from the first record; a chunk-list
         plan seeks to each range's start and stops at its end (ranges
@@ -494,46 +491,44 @@ class BamSource:
         single-offset seek does).  EOF ends the whole plan.  Plans may
         cover extra records, but only records overlapping ``chunk``
         survive the pileup's filters, which is what keeps every index
-        flavour byte-identical.  This walk is shared by both engines'
-        streams, so they read exactly the same records.
+        flavour byte-identical.
+
+        Records are checked where the plan reads them: a span's first
+        ``n`` are checked (:func:`_check_records`) before it is
+        yielded.  Both engines' streams share this walk, so they read
+        and reject exactly the same records.
         """
-        from repro.io.bam import walk_bodies
+        from repro.io.bam import walk_spans
         from repro.io.index import MAX_VOFFSET
 
-        chunk_rank = self._rank.get(chunk.chrom)
-        if chunk_rank is None:
+        ref_id = self._rank.get(chunk.chrom)
+        if ref_id is None:
             raise ValueError(
                 f"contig {chunk.chrom!r} is not in the BAM header"
             )
-        # Where each refID's records sit relative to the chunk, indexed
-        # by refID + 1 (refID -1, unplaced, sorts after every contig).
-        place = [_STOP] + [
-            _KEEP
-            if name == chunk.chrom
-            else (_STOP if self._rank[name] > chunk_rank else _SKIP)
-            for name, _ in self.contigs
-        ]
         if plan is self._REWIND:
             reader.rewind()
-            spans = [None]
+            ranges = [None]
         else:
-            spans = plan
-        end = chunk.end
-        for span in spans:
+            ranges = plan
+        last_pos = -1
+        for rng in ranges:
             stop = MAX_VOFFSET
-            if span is not None:
-                reader.seek(span.vbegin)
-                stop = span.vend
+            if rng is not None:
+                reader.seek(rng.vbegin)
+                stop = rng.vend
                 if reader.tell() >= stop:
                     continue
-            for vbegin, vend, body, core in walk_bodies(reader):
-                where = place[core[0] + 1]
-                if where == _KEEP and core[1] >= end:
-                    where = _STOP
-                yield where, vbegin, body, core
-                if where == _STOP:
-                    return
-                if vend >= stop:
+            for span in walk_spans(reader):
+                ref = span.ref_id
+                ends = (ref < 0) | (ref > ref_id) | ((ref == ref_id) & (span.pos >= chunk.end))
+                last = np.flatnonzero(ends | (span.vend >= stop))
+                n = int(last[0]) + 1 if last.size else len(span)
+                last_pos = _check_records(span, n, ref_id, last_pos, reader.header)
+                yield span, n
+                if last.size:
+                    if ends[n - 1]:
+                        return
                     break  # past this range; try the plan's next one
             else:
                 return  # EOF
@@ -541,15 +536,13 @@ class BamSource:
     def _iter_records(self, reader, chunk: Region, plan):
         """``chunk``'s records as :class:`~repro.io.records.AlignedRead`
         (the streaming engine's input): every record the plan reads is
-        decoded, so a malformed one raises
-        :class:`~repro.io.errors.FormatError` wherever it sits."""
+        decoded on its own, the oracle's per-record decode."""
         from repro.io.bam import decode_record_at
 
         header = reader.header
-        for where, vbegin, body, _ in self._plan_records(reader, chunk, plan):
-            read = decode_record_at(body, header, vbegin)
-            if where == _KEEP:
-                yield read
+        for span, n in self._plan_records(reader, chunk, plan):
+            for body, vbegin in zip(span.bodies[:n], span.vbegin[:n].tolist()):
+                yield decode_record_at(body, header, vbegin)
 
     def _timed_pulls(self, reader, counted, inner, trc: Tracer, worker: int, stats):
         """Drive a lazy per-chunk stream (columns or batches) one pull
@@ -617,12 +610,9 @@ class BamSource:
 
     def _stream_batches(self, reader, chunk: Region, plan):
         """The untimed inner generator behind :meth:`batches_for`: every
-        record the seek plan reads goes through one
+        span the seek plan reads goes through one
         :class:`~repro.pileup.vectorized.ColumnBatchBuilder`, which
-        cuts the windows and checks each record before anything that
-        follows it becomes visible.  A record the walk itself rejects
-        raises only after the records read before it are checked, so
-        errors surface as in :meth:`columns_for`."""
+        cuts the windows and deposits them."""
         from repro.pileup.vectorized import ColumnBatchBuilder
 
         builder = ColumnBatchBuilder(
@@ -632,15 +622,8 @@ class BamSource:
             batch_columns=self.batch_columns,
             header=reader.header,
         )
-        add = builder.add_record
-        try:
-            for _, vbegin, body, core in self._plan_records(reader, chunk, plan):
-                batches = add(vbegin, body, core)
-                if batches:
-                    yield from batches
-        except FormatError:
-            builder.check()  # a record read before the bad one fails first
-            raise
+        for span, n in self._plan_records(reader, chunk, plan):
+            yield from builder.add_span(span, n)
         yield from builder.finish()
 
     def batches_for(
@@ -653,10 +636,10 @@ class BamSource:
         """The chunk as a lazy stream of bounded batch work units.
 
         The batched engine's BAM path builds no
-        :class:`~repro.io.records.AlignedRead`: the fixed-field walk
-        hands each record's body to a
+        :class:`~repro.io.records.AlignedRead`: the seek-plan walk
+        hands each span of records it read and checked to a
         :class:`~repro.pileup.vectorized.ColumnBatchBuilder`
-        (:meth:`~repro.pileup.vectorized.ColumnBatchBuilder.add_record`),
+        (:meth:`~repro.pileup.vectorized.ColumnBatchBuilder.add_span`),
         which closes a window as soon as the scan passes
         ``batch_columns`` positions and decodes and deposits it a span
         of records at a time.  Peak construction memory is one
@@ -686,3 +669,28 @@ class BamSource:
         reader, counted = self._reader()
         inner = self._stream_batches(reader, chunk, plan)
         yield from self._timed_pulls(reader, counted, inner, trc, worker, stats)
+
+
+def _check_records(span, n: int, ref_id: int, last_pos: int, header) -> int:
+    """Raise the first error, in file order, among ``span``'s first
+    ``n`` records: a record that does not decode (the error
+    :func:`~repro.io.bam.decode_record_at` raises), or a mapped read on
+    refID ``ref_id`` starting before the previous one (``last_pos``
+    for the first), a record's decode error first.  Returns the
+    ``last_pos`` of the next span."""
+    from repro.io.bam import decode_record_at
+
+    on = np.flatnonzero((span.ref_id[:n] == ref_id) & (span.flag[:n] & FLAG_UNMAPPED == 0))
+    pos = span.pos[on]
+    prev = np.concatenate(([last_pos], pos[:-1]))
+    unsorted = np.flatnonzero(pos < prev)
+    bad = span.suspects()
+    limit = int(on[unsorted[0]]) + 1 if unsorted.size else n
+    for j in bad[bad < limit].tolist():
+        decode_record_at(span.bodies[j], header, int(span.vbegin[j]))
+    if unsorted.size:
+        k = unsorted[0]
+        raise FormatError(
+            f"reads are not coordinate-sorted: {span.name(on[k])} at {pos[k]} after {prev[k]}"
+        )
+    return int(pos[-1]) if pos.size else last_pos

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.io import FormatError
 from repro.io.bai import (
     BAI_MAGIC,
     MAX_BIN,
@@ -638,3 +639,62 @@ class TestIndexBuildInput:
                 builder(_bgzf(head + bytes(records)))
             except ValueError:
                 pass
+
+
+class TestBaiInputErrors:
+    """A damaged ``.bai`` is a ``FormatError`` naming the file and the
+    byte offset; misuse of the API stays a plain ``ValueError``."""
+
+    @staticmethod
+    def _bai_bytes() -> bytes:
+        head, records = small_bam_payload()
+        return build_bai_index(_bgzf(head + records)).to_bytes()
+
+    def test_errors_name_file_and_offset(self, tmp_path):
+        data = self._bai_bytes()
+        path = tmp_path / "damaged.bai"
+        for raw, match in [
+            (data[:30], "truncated BAI index at byte 20"),
+            (data[:8] + struct.pack("<i", -3) + data[12:], "negative bin count -3 at byte 8"),
+            (b"BAM\x01" + data[4:], "unrecognised index magic b'BAM.* at byte 0"),
+            (data[:12] + struct.pack("<I", MAX_BIN + 10) + data[16:], "bin id .* at byte 12 out of range"),
+        ]:
+            path.write_bytes(raw)
+            with pytest.raises(FormatError, match=f"^{path}: {match}"):
+                load_index(path)
+        with pytest.raises(FormatError, match="^truncated BAI index at byte 20"):
+            BaiIndex.from_handle(io.BytesIO(data[:30]))
+
+    def test_api_misuse_stays_value_error(self):
+        index = BaiIndex.from_handle(io.BytesIO(self._bai_bytes()))
+        for misuse in (
+            lambda: index.chunks_for("chrA", 0, 10),
+            lambda: index.attach_names(["only one"]),
+            lambda: bin_interval(PSEUDO_BIN),
+        ):
+            with pytest.raises(ValueError) as info:
+                misuse()
+            assert not isinstance(info.value, FormatError)
+
+    @given(
+        mode=st.sampled_from(["truncate", "flip"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_bai_loads_or_raises_format_error(self, tmp_path_factory, mode, seed):
+        """Shaped like ``TestCorruptStreams``: a damaged encoding either
+        loads as an index or raises ``FormatError``, nothing else."""
+        rng = random.Random(seed)
+        raw = bytearray(self._bai_bytes())
+        if mode == "truncate":
+            raw = raw[: rng.randrange(len(raw))]
+        else:
+            for _ in range(rng.randint(1, 4)):
+                raw[rng.randrange(len(raw))] ^= rng.randint(1, 255)
+        path = tmp_path_factory.mktemp("bai") / "mutated.bai"
+        path.write_bytes(bytes(raw))
+        try:
+            index = load_index(path)
+        except FormatError:
+            return
+        assert isinstance(index, BaiIndex)

@@ -539,3 +539,43 @@ class TestEofProbeRegression:
             again = reader._cached_block_at(len(raw) + 100)
             assert again == (b"", 0)
             assert reader.cache_misses == reader.blocks_read
+
+
+class TestConstructorClosesFile:
+    """A reader whose constructor fails closes the file it opened: no
+    ``ResourceWarning`` is left for garbage collection."""
+
+    @staticmethod
+    def _assert_closed_on_failure(construct, match):
+        import gc
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FormatError, match=match):
+                construct()
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
+
+    def test_bgzf_reader_bad_first_block(self, tmp_path):
+        raw = bytearray(_bgzf_bytes(b"A" * 1000))
+        raw[18] = 0x07  # BFINAL=1, BTYPE=11 (reserved) in block 0
+        path = tmp_path / "bad.bgzf"
+        path.write_bytes(bytes(raw))
+        self._assert_closed_on_failure(lambda: BgzfReader(str(path)), "corrupt deflate")
+
+    def test_bam_reader_bad_magic(self, tmp_path):
+        from repro.io.bam import BamReader
+
+        path = tmp_path / "bad.bam"
+        path.write_bytes(_bgzf_bytes(b"XXXX" + b"\x00" * 100))
+        self._assert_closed_on_failure(lambda: BamReader(str(path)), "not a BAM file")
+
+    def test_caller_handle_left_open(self):
+        from repro.io.bam import BamReader
+
+        handle = io.BytesIO(_bgzf_bytes(b"XXXX" + b"\x00" * 100))
+        with pytest.raises(FormatError, match="not a BAM file"):
+            BamReader(handle)
+        assert not handle.closed

@@ -839,6 +839,21 @@ class TestReferenceErrors:
         assert message in err and str(ref) in err
         assert not out.exists()
 
+    def test_non_utf8_reference_errors(self, workspace, tmp_path, capsys):
+        ref = tmp_path / "bad.fa"
+        ref.write_bytes((workspace / "ref.fa").read_bytes().replace(b"\n", b"\n\xff", 1))
+        out = tmp_path / "out.vcf"
+        capsys.readouterr()
+        rc = main(
+            ["call", str(workspace / "sample.bam"), "--reference", str(ref),
+             "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{ref}: line 2: not UTF-8 text" in err
+        assert not out.exists()
+
 
 class TestCallIndexAndCache:
     def test_call_with_bai_index_byte_identical(self, workspace):

@@ -570,6 +570,19 @@ class TestRequestErrorLines:
         assert f"{ref}: line 1: FASTA data before first '>'" in bad["error"]
         assert stats["status"] == "ok"
 
+    def test_reference_that_is_not_utf8(self, dataset, tmp_path):
+        ref = tmp_path / "bad.fa"
+        raw = bytearray(open(dataset["ref"], "rb").read())
+        raw[-3] = 0xFF
+        ref.write_bytes(bytes(raw))
+        service = CallService(n_workers=1)
+        bad, stats = _tcp_session(
+            service, [{"bam": dataset["bam"], "reference": str(ref)}, {"op": "stats"}]
+        )
+        assert bad["status"] == "error" and bad["kind"] == "FormatError", bad
+        assert f"{ref}: line " in bad["error"] and "not UTF-8" in bad["error"]
+        assert stats["status"] == "ok"
+
 
 class TestPerRequestIoCounters:
     def test_each_response_counts_its_own_lookups(self, dataset, monkeypatch):

@@ -21,11 +21,13 @@ from hypothesis import strategies as st
 from repro.core import CallerConfig
 from repro.io import FormatError
 from repro.io.bam import (
+    BamReader,
     BamWriter,
     RecordSpan,
     decode_record,
+    encode_record,
     read_bam,
-    walk_bodies,
+    walk_spans,
 )
 from repro.io.bgzf import BgzfReader, BgzfWriter
 from repro.io.cigar import CigarOp, collapse
@@ -579,6 +581,41 @@ class TestDamagedRecords:
             list(source.batches_for(Region("ctgC", 0, 120)))
 
     @pytest.mark.parametrize(
+        "at, value, match",
+        [("tag", b"!", "tag type"), (20, struct.pack("<i", 3), "next refID 3")],
+        ids=["tag", "next_ref_id"],
+    )
+    def test_damage_past_the_stop_record_in_its_block(self, tmp_path, at, value, match):
+        """The walk reads whole BGZF blocks, but only the records the
+        plan reads are checked: damage to the record after the chunk's
+        stop record, in the same block, is not an error -- a bad tag,
+        or a fixed field the walk itself rejects."""
+        offsets, pos = [], 0
+        while pos < len(RECORDS):
+            offsets.append(pos)
+            pos += 4 + struct.unpack_from("<i", RECORDS, pos)[0]
+        # Records 0-5 are on ctgA and 6 (the ctgA scan's stop) on ctgB;
+        # record 7 carries tags.
+        body_at = offsets[7] + 4
+        body = RECORDS[body_at : offsets[8]]
+        if at == "tag":
+            at = int(RecordSpan([body]).tag_off[0]) + 2
+        records = bytearray(RECORDS)
+        records[body_at + at : body_at + at + len(value)] = value
+        with pytest.raises(FormatError, match=match):
+            decode_record(bytes(records[body_at : offsets[8]]), HEADER)
+        path = _bgzf_file(tmp_path / "damaged.bam", HEAD + bytes(records))
+        clean = _bgzf_file(tmp_path / "clean.bam", HEAD + RECORDS)
+        region = Region("ctgA", 0, 260)
+        want = streaming_batch(BamSource(clean, REFERENCE, regions=[region]), region)
+        source = BamSource(path, REFERENCE, regions=[region])
+        assert_batches_identical(want, streaming_batch(source, region))
+        assert_batches_identical(want, merged(list(source.batches_for(region)), "ctgA"))
+        for engine_view in ("columns_for", "batches_for"):
+            with pytest.raises(FormatError, match=f"voffset .* {match}"):
+                list(getattr(source, engine_view)(Region("ctgB", 0, 180)))
+
+    @pytest.mark.parametrize(
         "field, value, match",
         [
             (0, -5, "block_size -5"),
@@ -601,6 +638,46 @@ class TestDamagedRecords:
             assert "voffset" in str(info.value)
 
 
+class TestWalkSpans:
+    def test_voffsets_equal_read_record_tells(self, tmp_path):
+        """Over several BGZF blocks -- records straddling each block
+        boundary, one ending exactly at a block's end -- every span's
+        ``vbegin``/``vend`` are ``BamReader.tell()`` before and after
+        that record's ``read_record``."""
+        rng = random.Random(5)
+        path = tmp_path / "blocks.bam"
+        with BgzfWriter(str(path)) as writer:
+            writer.write(HEAD)
+            for i in range(1200):
+                n = rng.randint(60, 240)
+                read = AlignedRead.simple(
+                    f"b{i}", "ctgA", i // 10, "".join(rng.choice("ACGT") for _ in range(n)),
+                    [rng.randint(0, 40) for _ in range(n)],
+                )
+                body = encode_record(read, HEADER)
+                writer.write(struct.pack("<i", len(body)) + body)
+                if i == 150:
+                    writer.flush()  # record 150 ends at its block's end
+        expected = []
+        with BamReader(str(path)) as reader:
+            while True:
+                vbegin = reader.tell()
+                if reader.read_record() is None:
+                    break
+                expected.append((vbegin, reader.tell()))
+        with BamReader(str(path)) as reader:
+            spans = list(walk_spans(reader))
+        got = [
+            pair for span in spans
+            for pair in zip(span.vbegin.tolist(), span.vend.tolist())
+        ]
+        assert got == expected
+        assert len(spans) > 4
+        assert got[150][1] & 0xFFFF == 0 and got[151][0] == got[150][1]
+        straddling = [b for b, e in got if b >> 16 != e >> 16 and e & 0xFFFF]
+        assert len(straddling) >= 3
+
+
 class TestDecodeRecordTotal:
     """``decode_record`` either decodes a body or raises
     ``FormatError``; ``RecordSpan.suspects`` flags exactly the bodies
@@ -614,7 +691,7 @@ class TestDecodeRecordTotal:
         from repro.io.bam import BamReader
 
         with BamReader(reader_bytes) as reader:
-            return [body for _, _, body, _ in walk_bodies(reader)]
+            return [body for span in walk_spans(reader) for body in span.bodies]
 
     @pytest.mark.parametrize(
         "cigar, seq_len",
